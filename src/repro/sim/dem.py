@@ -7,14 +7,31 @@ flips a fixed set of detectors and logical observables.  The DEM is the
 list of (detector set, observable set, probability) triples — precisely
 what a matching decoder needs.
 
-We extract it the way Stim does conceptually, but implemented by reusing
-the vectorised :class:`FrameState`: mechanism ``i`` becomes "shot" ``i``
-whose frame receives exactly one deterministic Pauli injection, and one
-batched pass over the circuit propagates all mechanisms simultaneously.
+Extraction runs in three vectorised steps:
+
+1. **Mechanism table.**  Every mechanism becomes one row of numpy
+   columns (noise instruction, up to two qubits, their Pauli codes,
+   probability), in circuit order.
+2. **Packed propagation.**  Mechanism ``i`` is bit ``i % 64`` of word
+   ``i // 64`` in a qubit-major Pauli frame: ``x[q]`` / ``z[q]`` are
+   rows of uint64 words holding the X / Z component of every
+   mechanism's frame on qubit ``q`` — the bit-packed layout of
+   :class:`~repro.sim.dem_sampler.DemSampler`, transposed.  A Clifford
+   gate is a handful of whole-row XORs; mechanisms are injected from
+   precomputed ``(qubit, word, bit)`` arrays just before the next gate,
+   reset or measurement; and a measurement XORs one frame row into
+   the packed rows of the detectors and observables that read it.
+   One pass over the circuit propagates every mechanism at once.
+3. **Symptom dedupe.**  The set bits of the packed symptom rows are
+   scattered into one byte string per mechanism, which ``np.unique``
+   dedupes, so detector tuples are built once per *distinct* symptom
+   rather than once per mechanism.  Probabilities then fold per
+   symptom in mechanism order.
 
 Mechanisms that flip more than two detectors (hyperedges) are
 decomposed into their X-part and Z-part, which for CSS codes such as
-the surface code are individually graphlike.
+the surface code are individually graphlike; the parts go through the
+same packed propagation.
 """
 
 from __future__ import annotations
@@ -24,12 +41,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import StabilizerCircuit
-from .frame import FrameState
 
-# Pauli pair encodings for DEPOLARIZE2: value 1..15, qubit-a pauli is
-# value // 4 and qubit-b pauli is value % 4 with 0=I, 1=X, 2=Y, 3=Z.
-_PAULI_HAS_X = (False, True, True, False)
-_PAULI_HAS_Z = (False, False, True, True)
+# Pauli codes: bit 0 is the X component, bit 1 the Z component.
+_X, _Z, _Y = 1, 2, 3
+# One-qubit channels: the Pauli of each component, in enumeration order.
+_ONE_QUBIT_PAULIS = {
+    "X_ERROR": (_X,),
+    "Y_ERROR": (_Y,),
+    "Z_ERROR": (_Z,),
+    "PAULI_CHANNEL_1": (_X, _Y, _Z),
+    "DEPOLARIZE1": (_X, _Y, _Z),
+}
+# DEPOLARIZE2 components 1..15: qubit a carries Pauli ``k // 4`` and
+# qubit b Pauli ``k % 4``, indexing (I, X, Y, Z).
+_DEPOLARIZE2_PAULIS = [((0, _X, _Y, _Z)[k // 4], (0, _X, _Y, _Z)[k % 4])
+                       for k in range(1, 16)]
 
 
 @dataclass(frozen=True)
@@ -44,6 +70,29 @@ class DemError:
         return len(self.detectors) <= 2
 
 
+Symptom = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _fold(keys, probabilities) -> dict:
+    """Fold independent sources sharing a key, in order.
+
+    Two independent sources with the same (detectors, observables) act
+    like one source firing with probability
+    ``p = (1 - prod(1 - 2 p_i)) / 2`` (odd number of firings), folded
+    pairwise as ``prior + p - 2 prior p``.
+    """
+    acc: dict = {}
+    for key, p in zip(keys, probabilities):
+        prior = acc.get(key, 0.0)
+        acc[key] = prior + p - 2.0 * prior * p
+    return acc
+
+
+def _errors(folded: dict[Symptom, float]) -> list[DemError]:
+    """Folded sources sorted by symptom, dropping those that cannot fire."""
+    return [DemError(dets, obs, p) for (dets, obs), p in sorted(folded.items()) if p > 0.0]
+
+
 @dataclass
 class DetectorErrorModel:
     """A collection of independent error mechanisms."""
@@ -53,22 +102,9 @@ class DetectorErrorModel:
     errors: list[DemError] = field(default_factory=list)
 
     def merged(self) -> "DetectorErrorModel":
-        """Combine errors with identical symptoms.
-
-        Two independent sources with the same (detectors, observables)
-        act like one source firing with probability
-        ``p = (1 - prod(1 - 2 p_i)) / 2`` (odd number of firings).
-        """
-        acc: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
-        for err in self.errors:
-            key = (err.detectors, err.observables)
-            prior = acc.get(key, 0.0)
-            acc[key] = prior + err.probability - 2.0 * prior * err.probability
-        merged = [
-            DemError(dets, obs, p)
-            for (dets, obs), p in sorted(acc.items())
-            if p > 0.0
-        ]
+        """Combine errors with identical symptoms (see :func:`_fold`)."""
+        merged = _errors(_fold(((err.detectors, err.observables) for err in self.errors),
+                               (err.probability for err in self.errors)))
         return DetectorErrorModel(self.num_detectors, self.num_observables, merged)
 
     @property
@@ -76,140 +112,242 @@ class DetectorErrorModel:
         return len(self.errors)
 
 
-@dataclass
-class _Mechanism:
-    """A single Pauli component of one noise instruction."""
+@dataclass(frozen=True)
+class _Mechanisms:
+    """Error mechanisms as numpy columns, one row each, in circuit order.
 
-    instruction_index: int
-    probability: float
-    # (qubit, has_x, has_z) triples to inject into the frame.
-    injections: tuple[tuple[int, bool, bool], ...]
+    ``qubits[i]`` / ``paulis[i]`` name up to two single-qubit Paulis
+    injected just before instruction ``instruction[i]``; unused slots
+    hold Pauli code 0.
+    """
+
+    instruction: np.ndarray  # (m,) intp
+    qubits: np.ndarray       # (m, 2) intp
+    paulis: np.ndarray       # (m, 2) uint8 Pauli codes
+    probability: np.ndarray  # (m,) float64
+
+    def __len__(self) -> int:
+        return len(self.probability)
+
+    def select(self, rows: np.ndarray) -> "_Mechanisms":
+        return _Mechanisms(self.instruction[rows], self.qubits[rows],
+                           self.paulis[rows], self.probability[rows])
+
+    def split_xz(self) -> "_Mechanisms":
+        """Each mechanism's X-part then Z-part, dropping empty parts."""
+        parts = _Mechanisms(
+            np.repeat(self.instruction, 2),
+            np.repeat(self.qubits, 2, axis=0),
+            np.stack([self.paulis & _X, self.paulis & _Z], axis=1).reshape(-1, 2),
+            np.repeat(self.probability, 2),
+        )
+        return parts.select(np.flatnonzero(parts.paulis.any(axis=1)))
 
 
-def _enumerate_mechanisms(circuit: StabilizerCircuit) -> list[_Mechanism]:
-    mechanisms: list[_Mechanism] = []
+def _enumerate_mechanisms(circuit: StabilizerCircuit) -> _Mechanisms:
+    """Tabulate every Pauli component of every noise instruction.
+
+    The order is instruction, then target (or target pair), then
+    component.  Components that cannot fire (probability 0) are left
+    out: they would fold into their symptom as the identity.
+    """
+    rows = []  # (instruction, qubit a, qubit b, Pauli a, Pauli b, probability)
     for idx, inst in enumerate(circuit.instructions):
         name, targets, args = inst.name, inst.targets, inst.args
-        if name == "X_ERROR":
-            for q in targets:
-                mechanisms.append(_Mechanism(idx, args[0], ((q, True, False),)))
-        elif name == "Z_ERROR":
-            for q in targets:
-                mechanisms.append(_Mechanism(idx, args[0], ((q, False, True),)))
-        elif name == "Y_ERROR":
-            for q in targets:
-                mechanisms.append(_Mechanism(idx, args[0], ((q, True, True),)))
-        elif name == "PAULI_CHANNEL_1":
-            px, py, pz = args
-            for q in targets:
-                if px:
-                    mechanisms.append(_Mechanism(idx, px, ((q, True, False),)))
-                if py:
-                    mechanisms.append(_Mechanism(idx, py, ((q, True, True),)))
-                if pz:
-                    mechanisms.append(_Mechanism(idx, pz, ((q, False, True),)))
-        elif name == "DEPOLARIZE1":
-            p = args[0] / 3.0
-            for q in targets:
-                if p:
-                    mechanisms.append(_Mechanism(idx, p, ((q, True, False),)))
-                    mechanisms.append(_Mechanism(idx, p, ((q, True, True),)))
-                    mechanisms.append(_Mechanism(idx, p, ((q, False, True),)))
-        elif name == "DEPOLARIZE2":
+        if name == "DEPOLARIZE2" and args[0]:
             p = args[0] / 15.0
-            if p:
-                for a, b in zip(targets[::2], targets[1::2]):
-                    for code in range(1, 16):
-                        pa, pb = code // 4, code % 4
-                        inj = []
-                        if pa:
-                            inj.append((a, _PAULI_HAS_X[pa], _PAULI_HAS_Z[pa]))
-                        if pb:
-                            inj.append((b, _PAULI_HAS_X[pb], _PAULI_HAS_Z[pb]))
-                        mechanisms.append(_Mechanism(idx, p, tuple(inj)))
-    return mechanisms
+            rows.extend((idx, a, b, pa, pb, p) for a, b in zip(targets[::2], targets[1::2])
+                        for pa, pb in _DEPOLARIZE2_PAULIS)
+        elif name in _ONE_QUBIT_PAULIS:
+            if name == "DEPOLARIZE1":
+                args = (args[0] / 3.0,) * 3
+            components = [(c, p) for c, p in zip(_ONE_QUBIT_PAULIS[name], args) if p]
+            rows.extend((idx, q, 0, c, 0, p) for q in targets for c, p in components)
+    inst, qa, qb, pa, pb, prob = zip(*rows) if rows else ((),) * 6
+    return _Mechanisms(
+        np.array(inst, dtype=np.intp),
+        np.array([qa, qb], dtype=np.intp).reshape(2, -1).T,
+        np.array([pa, pb], dtype=np.uint8).reshape(2, -1).T,
+        np.array(prob, dtype=np.float64),
+    )
 
 
-def _propagate(
-    circuit: StabilizerCircuit,
-    mechanisms: list[_Mechanism],
-    injections_per_mech: list[tuple[tuple[int, bool, bool], ...]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate one injected Pauli per mechanism through the circuit.
+# Frame-acting instructions whose operands are plain qubit lists.
+_QUBITWISE = frozenset({"H", "S", "S_DAG", "SQRT_X", "SQRT_X_DAG", "R", "RX"})
 
-    Returns boolean arrays (mechanisms x detectors) and
-    (mechanisms x observables) of symptom flips.
+
+def _index(values):
+    """Row index for a target list: a bare int when there is one target
+    (basic indexing, the cheap case of serialised circuits), else a
+    list (fancy indexing)."""
+    return values[0] if len(values) == 1 else list(values)
+
+
+@dataclass(frozen=True)
+class _FramePlan:
+    """A circuit's frame-acting instructions, operands pre-indexed.
+
+    ``ops[k]`` is ``(name, a, b)``: control and target rows for CX/CZ,
+    qubit pairs for SWAP/XX, qubit rows for one-qubit gates and resets,
+    and ``(qubit, symptom rows or None)`` reads for measurements.
+    Symptom rows ``0 .. num_detectors - 1`` are detectors, the
+    observables follow.  Noise and annotations leave the frame alone,
+    so an injection just before instruction ``i`` is equally applied
+    just before op ``next_op[i]``.
     """
-    m = len(mechanisms)
-    n = max(circuit.num_qubits, 1)
-    state = FrameState(m, n)
 
-    # Group injection rows by instruction index for O(1) lookup.
-    by_inst: dict[int, list[tuple[int, tuple[tuple[int, bool, bool], ...]]]] = {}
-    for row, mech in enumerate(mechanisms):
-        by_inst.setdefault(mech.instruction_index, []).append(
-            (row, injections_per_mech[row])
-        )
+    ops: list[tuple]
+    next_op: np.ndarray
+    num_qubits: int
+    num_rows: int
 
-    # Map each absolute measurement index to the detectors/observables
-    # whose parity includes it.
-    det_of_meas: dict[int, list[int]] = {}
+
+def _frame_plan(circuit: StabilizerCircuit) -> _FramePlan:
+    # Per measurement, the symptom rows whose parity reads it; a record
+    # read twice by one parity cancels.
+    reads: list[set[int]] = [set() for _ in range(circuit.num_measurements)]
     for d, recs in enumerate(circuit.detector_records()):
         for r in recs:
-            det_of_meas.setdefault(r, []).append(d)
-    obs_of_meas: dict[int, list[int]] = {}
+            reads[r] ^= {d}
     for o, recs in circuit.observable_records().items():
         for r in recs:
-            obs_of_meas.setdefault(r, []).append(o)
-
-    det_flips = np.zeros((m, max(circuit.num_detectors, 1)), dtype=bool)
-    obs_flips = np.zeros((m, max(circuit.num_observables, 1)), dtype=bool)
+            reads[r] ^= {circuit.num_detectors + o}
+    ops: list[tuple] = []
+    next_op = []
     cursor = 0
-    for idx, inst in enumerate(circuit.instructions):
+    for inst in circuit.instructions:
+        next_op.append(len(ops))
         name, targets = inst.name, inst.targets
-        if idx in by_inst:
-            for row, injections in by_inst[idx]:
-                for q, has_x, has_z in injections:
-                    if has_x:
-                        state.x[row, q] ^= True
-                    if has_z:
-                        state.z[row, q] ^= True
-        if name in ("H", "S", "S_DAG", "SQRT_X", "SQRT_X_DAG", "X", "Y", "Z",
-                    "I", "CX", "CZ", "SWAP", "XX"):
-            state.apply_gate(name, targets)
-        elif name in ("M", "MR"):
-            for q in targets:
-                flips = state.x[:, q]
-                for d in det_of_meas.get(cursor, ()):
-                    det_flips[:, d] ^= flips
-                for o in obs_of_meas.get(cursor, ()):
-                    obs_flips[:, o] ^= flips
-                cursor += 1
+        if name in ("CX", "CZ"):
+            ops.append((name, _index(targets[::2]), _index(targets[1::2])))
+        elif name in ("SWAP", "XX"):
+            ops.append((name, list(zip(targets[::2], targets[1::2])), None))
+        elif name in _QUBITWISE:
+            ops.append((name, _index(targets), None))
+        elif name in ("M", "MR", "MX"):
+            rows = reads[cursor:cursor + len(targets)]
+            cursor += len(targets)
+            ops.append((name, [(q, _index(sorted(r)) if r else None)
+                               for q, r in zip(targets, rows)], None))
+    return _FramePlan(ops, np.array(next_op, dtype=np.intp), max(circuit.num_qubits, 1),
+                      circuit.num_detectors + circuit.num_observables)
+
+
+def _injections(plan: _FramePlan, mechs: _Mechanisms, component: int) -> dict:
+    """Per op, the ``(qubits, words, bits)`` that set one Pauli component
+    (``_X`` or ``_Z``) of the mechanisms injected just before it."""
+    row, slot = np.nonzero(mechs.paulis & component)
+    # Rows come out in mechanism order, hence in op order.
+    op = plan.next_op[mechs.instruction[row]]
+    qubit = mechs.qubits[row, slot]
+    bit = np.left_shift(np.uint64(1), (row & 63).astype(np.uint64))
+    bounds = [0] + (np.flatnonzero(np.diff(op)) + 1).tolist() + [len(op)]
+    return {
+        int(op[lo]): (qubit[lo:hi], row[lo:hi] >> 6, bit[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:]) if hi > lo
+    }
+
+
+def _propagate(plan: _FramePlan, mechs: _Mechanisms) -> np.ndarray:
+    """Propagate every mechanism's Pauli through the circuit at once.
+
+    Returns the packed symptoms: ``(num_detectors + num_observables,
+    ceil(m / 64))`` uint64, bit ``i`` of row ``r`` set iff mechanism
+    ``i`` flips symptom ``r``.
+    """
+    words = (len(mechs) + 63) // 64
+    x = np.zeros((plan.num_qubits, words), dtype=np.uint64)
+    z = np.zeros_like(x)
+    flips = np.zeros((plan.num_rows, words), dtype=np.uint64)
+    inject_x = _injections(plan, mechs, _X)
+    inject_z = _injections(plan, mechs, _Z)
+    for k, (name, a, b) in enumerate(plan.ops):
+        # XOR-at: several mechanisms may share a (qubit, word).
+        if k in inject_x:
+            np.bitwise_xor.at(x, inject_x[k][:2], inject_x[k][2])
+        if k in inject_z:
+            np.bitwise_xor.at(z, inject_z[k][:2], inject_z[k][2])
+        if name == "CX":
+            x[b] ^= x[a]
+            z[a] ^= z[b]
+        elif name == "H":
+            tmp = x[a].copy()
+            x[a] = z[a]
+            z[a] = tmp
+        elif name in ("R", "RX"):
+            x[a] = 0
+            z[a] = 0
+        elif name in ("M", "MR", "MX"):
+            frame = z if name == "MX" else x
+            for q, rows in a:
+                if rows is not None:
+                    flips[rows] ^= frame[q]
                 if name == "MR":
-                    state.x[:, q] = False
-                    state.z[:, q] = False
-        elif name == "MX":
-            for q in targets:
-                flips = state.z[:, q]
-                for d in det_of_meas.get(cursor, ()):
-                    det_flips[:, d] ^= flips
-                for o in obs_of_meas.get(cursor, ()):
-                    obs_flips[:, o] ^= flips
-                cursor += 1
-        elif name == "R":
-            for q in targets:
-                state.x[:, q] = False
-                state.z[:, q] = False
-        elif name == "RX":
-            for q in targets:
-                state.x[:, q] = False
-                state.z[:, q] = False
-        # Noise instructions contribute mechanisms, not frame updates here.
-    return det_flips, obs_flips
+                    x[q] = 0
+                    z[q] = 0
+        elif name in ("S", "S_DAG"):
+            z[a] ^= x[a]
+        elif name in ("SQRT_X", "SQRT_X_DAG"):
+            x[a] ^= z[a]
+        elif name == "CZ":
+            z[b] ^= x[a]
+            z[a] ^= x[b]
+        elif name == "SWAP":
+            for p, q in a:
+                x[[p, q]] = x[[q, p]]
+                z[[p, q]] = z[[q, p]]
+        elif name == "XX":
+            # MS entangler, H_p CX(p, q) H_p: each qubit's X component
+            # picks up the other's Z component.
+            for p, q in a:
+                x[p] ^= z[q]
+                x[q] ^= z[p]
+    return flips
 
 
-def _symptoms(det_row: np.ndarray, obs_row: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return tuple(np.flatnonzero(det_row)), tuple(np.flatnonzero(obs_row))
+def _tuples(bits: np.ndarray) -> list[tuple[int, ...]]:
+    """Set-bit column indices of each row of a boolean matrix."""
+    row, col = np.nonzero(bits)
+    ends = np.cumsum(np.bincount(row, minlength=len(bits))).tolist()
+    col = col.tolist()
+    return [tuple(col[start:end]) for start, end in zip([0] + ends, ends)]
+
+
+def _distinct_symptoms(
+    circuit: StabilizerCircuit, plan: _FramePlan, mechs: _Mechanisms
+) -> tuple[list[Symptom], np.ndarray]:
+    """The distinct ``(detectors, observables)`` symptoms of the
+    mechanisms, and each mechanism's index into them."""
+    flips = _propagate(plan, mechs)
+    num_bits = flips.shape[0]
+    # Transpose sparsely: symptoms are a few bits per mechanism, so
+    # only the nonzero words are unpacked, and each set bit lands in
+    # its mechanism's row of bytes.
+    symptom, word = np.nonzero(flips)
+    words = flips[symptom, word].view(np.uint8).reshape(-1, 8)
+    hit, bit = np.nonzero(np.unpackbits(words, axis=1, bitorder="little"))
+    symptom = symptom[hit]
+    rows = np.zeros((len(mechs), (num_bits + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(rows, (word[hit] * 64 + bit, symptom >> 3),
+                     np.left_shift(1, symptom & 7).astype(np.uint8))
+    distinct, inverse = np.unique(
+        rows.view(np.dtype((np.void, rows.shape[1]))).ravel(), return_inverse=True
+    )
+    bits = np.unpackbits(distinct.view(np.uint8).reshape(len(distinct), -1),
+                         axis=1, count=num_bits, bitorder="little")
+    dets = _tuples(bits[:, :circuit.num_detectors])
+    obs = _tuples(bits[:, circuit.num_detectors:])
+    return list(zip(dets, obs)), inverse.reshape(-1)
+
+
+def _graphlike_pieces(symptom: Symptom) -> list[Symptom]:
+    """A hyperedge part's graphlike stand-ins: the part itself when it
+    flips at most two detectors, else chain-pairs of its detectors in
+    index order (the observables ride on the first pair)."""
+    dets, obs = symptom
+    if len(dets) <= 2:
+        return [symptom] if dets or obs else []
+    return [(dets[i:i + 2], obs if i == 0 else ()) for i in range(0, len(dets), 2)]
 
 
 def circuit_to_dems(
@@ -228,57 +366,46 @@ def circuit_to_dems(
       parts keep the full mechanism probability, the standard
       independence approximation made by *matching decoders*.
 
-    The expensive batched propagation of all mechanisms is shared; only
-    the hyperedge parts are re-propagated for the graphlike model.
+    The propagation of all mechanisms is shared; only the hyperedge
+    parts are re-propagated for the graphlike model.  Probabilities
+    fold per symptom in mechanism order — for ``graphlike``, the
+    graphlike mechanisms first, then the hyperedge parts.
     """
-    mechanisms = _enumerate_mechanisms(circuit)
     exact = DetectorErrorModel(circuit.num_detectors, circuit.num_observables)
     graphlike = DetectorErrorModel(circuit.num_detectors, circuit.num_observables)
-    if not mechanisms:
+    mechs = _enumerate_mechanisms(circuit)
+    if not len(mechs) or not circuit.num_detectors + circuit.num_observables:
         return exact, graphlike
 
-    det_flips, obs_flips = _propagate(
-        circuit, mechanisms, [mech.injections for mech in mechanisms]
-    )
-    hyper_rows: list[int] = []
-    for row, mech in enumerate(mechanisms):
-        dets, obs = _symptoms(det_flips[row], obs_flips[row])
-        if not dets and not obs:
-            continue
-        exact.errors.append(DemError(dets, obs, mech.probability))
-        if len(dets) <= 2:
-            graphlike.errors.append(DemError(dets, obs, mech.probability))
-        else:
-            hyper_rows.append(row)
+    plan = _frame_plan(circuit)
+    symptoms, inverse = _distinct_symptoms(circuit, plan, mechs)
+    nonempty = np.array([bool(d or o) for d, o in symptoms])[inverse]
+    hyper = np.array([len(d) > 2 for d, _ in symptoms])[inverse]
 
-    if hyper_rows:
-        # Re-propagate the X-part and Z-part of each hyperedge mechanism.
-        parts: list[_Mechanism] = []
-        part_injections: list[tuple[tuple[int, bool, bool], ...]] = []
-        for row in hyper_rows:
-            mech = mechanisms[row]
-            x_part = tuple((q, hx, False) for q, hx, hz in mech.injections if hx)
-            z_part = tuple((q, False, hz) for q, hx, hz in mech.injections if hz)
-            for part in (x_part, z_part):
-                if part:
-                    parts.append(mech)
-                    part_injections.append(part)
-        pdet, pobs = _propagate(circuit, parts, part_injections)
-        for row, mech in enumerate(parts):
-            dets, obs = _symptoms(pdet[row], pobs[row])
-            if not dets and not obs:
-                continue
-            if len(dets) <= 2:
-                graphlike.errors.append(DemError(dets, obs, mech.probability))
-            else:
-                # Last resort: chain-pair detectors in index order.
-                ordered = list(dets)
-                pieces = [tuple(ordered[i:i + 2]) for i in range(0, len(ordered), 2)]
-                for i, piece in enumerate(pieces):
-                    graphlike.errors.append(
-                        DemError(piece, obs if i == 0 else (), mech.probability)
-                    )
-    return exact.merged(), graphlike.merged()
+    # Fold on symptom ids; the graphlike model gives the hyperedge-part
+    # pieces not already among the symptoms fresh ids.
+    exact.errors = _errors({
+        symptoms[j]: p for j, p in _fold(inverse[nonempty].tolist(),
+                                         mechs.probability[nonempty].tolist()).items()
+    })
+
+    graph = nonempty & ~hyper
+    keys = inverse[graph].tolist()
+    weights = mechs.probability[graph].tolist()
+    if hyper.any():
+        parts = mechs.select(np.flatnonzero(hyper)).split_xz()
+        part_symptoms, part_inverse = _distinct_symptoms(circuit, plan, parts)
+        ids = {s: j for j, s in enumerate(symptoms)}
+        pieces = [[ids.setdefault(piece, len(ids)) for piece in _graphlike_pieces(s)]
+                  for s in part_symptoms]
+        for j, p in zip(part_inverse.tolist(), parts.probability.tolist()):
+            keys.extend(pieces[j])
+            weights.extend([p] * len(pieces[j]))
+        symptoms = list(ids)
+    graphlike.errors = _errors({
+        symptoms[j]: p for j, p in _fold(keys, weights).items()
+    })
+    return exact, graphlike
 
 
 def circuit_to_dem(circuit: StabilizerCircuit, *, decompose: bool = True) -> DetectorErrorModel:

@@ -40,9 +40,9 @@ class FrameState:
     """The Pauli frames of a batch of shots.
 
     ``x[s, q]`` / ``z[s, q]`` give the X / Z component of shot ``s``'s
-    frame on qubit ``q``.  Shared by the sampler and the detector error
-    model extractor (which injects deterministic errors instead of
-    random ones).
+    frame on qubit ``q``.  Used by :class:`FrameSimulator`; the detector
+    error model extractor keeps its own bit-packed, qubit-major frame
+    (see :mod:`repro.sim.dem`).
     """
 
     def __init__(self, shots: int, num_qubits: int):
