@@ -24,14 +24,6 @@ below-threshold design point (20x gates — the regime LER sweeps
 actually live in), per-shot scalar decode vs the packed
 unique -> memo -> vectorised-kernel pipeline.
 
-A **memo-share** point measures the cross-worker dedupe win: the same
-shard plan decoded by a pool of per-process memos with and without
-protocol-v3 memo sharding (deterministic in-process simulation built
-on the real :class:`SyndromeMemo` share primitives, plus — in the full
-run — a real two-process :class:`MultiprocessBackend` sweep).  Failure
-counts must be identical across all variants; the shared pool's global
-hit rate must beat the unshared pool's diluted rate.
-
 The fast path runs under a scoped :class:`~repro.telemetry.Telemetry`
 registry, so every point also records a per-phase wall-clock breakdown
 (``sample.draw`` / ``sample.place`` / ``sample.xor`` / ``unique`` /
@@ -45,13 +37,11 @@ trajectory is recorded, and to ``benchmarks/results/`` like every
 other benchmark table.
 
 Assertions gate the fast paths: in smoke mode they merely must not be
-slower (CI fails on a batched union-find or batched MWPM regression)
-and memo sharding must lift the pool's global hit rate; the full run
-enforces the acceptance targets — >= 5x sampling and >= 3x end-to-end
-at the paper's 5x-improvement design point, >= 3x batched union-find
-decode throughput at the near-threshold point, >= 5x batched MWPM
-decode throughput at the deep below-threshold point, and the live
-multi-process dedupe win.
+slower (CI fails on a batched union-find or batched MWPM regression);
+the full run enforces the acceptance targets — >= 5x sampling and
+>= 3x end-to-end at the paper's 5x-improvement design point, >= 3x
+batched union-find decode throughput at the near-threshold point, and
+>= 5x batched MWPM decode throughput at the deep below-threshold point.
 """
 
 import json
@@ -65,11 +55,9 @@ from repro.decoders import MwpmDecoder, UnionFindDecoder
 from repro.engine import CompilationCache, SweepSpec
 from repro.engine.progress import format_phase_share
 from repro.engine.runner import (
-    MultiprocessBackend,
     compile_design_point,
     ordered_phases,
     plan_shards,
-    run_sweep,
 )
 from repro.noise.parameters import DEFAULT_NOISE
 from repro.sim import DemSampler, FrameSimulator
@@ -275,149 +263,12 @@ def _bench_mwpm_batched(distance: int, improvement: float,
     }
 
 
-def _bench_memo_share(distance: int, improvement: float, shard_shots: int,
-                      num_shards: int, workers: int) -> dict:
-    """Cross-worker dedupe point: the same shard plan round-robined over
-    a pool of per-process memos, with and without protocol-v3 memo
-    sharding.
-
-    The pool is simulated in-process (deterministically — no scheduler
-    races) on the real :class:`SyndromeMemo` share primitives: owned
-    entries drain from each worker's outbox into an ordered driver
-    segment, and the segment replicates to the other workers before
-    their next shard, exactly the driver's piggyback protocol.  Gates
-    compare the pool's *global* hit rate shared vs unshared; failure
-    counts must be identical across single-worker, unshared-pool, and
-    shared-pool runs.
-    """
-    job, cache, compiled = _compiled_point(
-        distance, improvement, shard_shots * num_shards
-    )
-    sampler = cache.dem_sampler(compiled)
-    cache.distance_matrix(compiled)
-    shards = plan_shards(job.shots, shard_shots, MASTER_SEED, job.key)
-    packed = [sampler.sample_packed(s.shots, seed=s.seed) for s in shards]
-
-    def pool_run(n_workers: int, share: bool) -> dict:
-        decoders = [MwpmDecoder(compiled.graph) for _ in range(n_workers)]
-        if share:
-            for slot, decoder in enumerate(decoders):
-                decoder.syndrome_memo().enable_sharing(slot, n_workers)
-        segment: list = []  # (key, mask, origin) in publish order
-        known: set = set()
-        cursors = [0] * n_workers
-        failures = 0
-        t0 = time.perf_counter()
-        for index, shard in enumerate(packed):
-            worker = index % n_workers
-            memo = decoders[worker].syndrome_memo()
-            if share and cursors[worker] < len(segment):
-                entries = [
-                    (key, mask)
-                    for key, mask, origin in segment[cursors[worker]:]
-                    if origin != worker
-                ]
-                cursors[worker] = len(segment)
-                if entries:
-                    memo.absorb(entries)
-            fails = decoders[worker].logical_failures_packed(
-                shard.det_words, shard.obs_words
-            )
-            failures += int(fails.sum())
-            if share:
-                for key, mask in memo.drain_outbox():
-                    if key not in known:
-                        known.add(key)
-                        segment.append((key, mask, worker))
-        elapsed = time.perf_counter() - t0
-        hits = sum(d.syndrome_memo().hits for d in decoders)
-        misses = sum(d.syndrome_memo().misses for d in decoders)
-        shared = sum(d.syndrome_memo().shared_hits for d in decoders)
-        return {
-            "workers": n_workers,
-            "failures": failures,
-            "hits": hits,
-            "misses": misses,
-            "shared_hits": shared,
-            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-            "decodes_per_s": job.shots / elapsed,
-        }
-
-    single = pool_run(1, share=False)
-    unshared = pool_run(workers, share=False)
-    shared = pool_run(workers, share=True)
-    assert single["failures"] == unshared["failures"] == shared["failures"], (
-        single["failures"], unshared["failures"], shared["failures"],
-    )
-    return {
-        "distance": distance,
-        "gate_improvement": improvement,
-        "decoder": "mwpm",
-        "shots": job.shots,
-        "shard_shots": shard_shots,
-        "num_shards": num_shards,
-        "single_worker": single,
-        "unshared": unshared,
-        "shared": shared,
-    }
-
-
-def _bench_memo_share_mp(distance: int, improvement: float,
-                         shard_shots: int, num_shards: int,
-                         workers: int) -> dict:
-    """Real multi-process check of the memo-share win: the same sweep
-    through a live :class:`MultiprocessBackend` with sharding on vs
-    off.  Scheduling (and therefore replication timing) is
-    nondeterministic here, which is why the deterministic simulation
-    above carries the smoke gate — but the hit-rate gap is large enough
-    that the full run gates this end-to-end path too."""
-
-    def sweep(share: bool) -> dict:
-        spec = SweepSpec(
-            distances=(distance,),
-            gate_improvements=(improvement,),
-            decoders=("mwpm",),
-            shots=shard_shots * num_shards,
-            master_seed=MASTER_SEED,
-        )
-        backend = MultiprocessBackend(workers, memo_share=share)
-        t0 = time.perf_counter()
-        try:
-            [result] = run_sweep(spec, backend=backend,
-                                 shard_shots=shard_shots)
-        finally:
-            backend.close()
-        elapsed = time.perf_counter() - t0
-        memo = result.extras["memo"]
-        hits, misses = memo["hits"], memo["misses"]
-        return {
-            "failures": result.failures,
-            "hits": hits,
-            "misses": misses,
-            "shared_hits": memo.get("shared_hits", 0),
-            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-            "elapsed_s": elapsed,
-        }
-
-    shared = sweep(True)
-    unshared = sweep(False)
-    assert shared["failures"] == unshared["failures"], (shared, unshared)
-    return {
-        "workers": workers,
-        "shots": shard_shots * num_shards,
-        "shard_shots": shard_shots,
-        "shared": shared,
-        "unshared": unshared,
-    }
-
-
 def test_sampling_decoding_fastpath():
     if smoke():
         # (improvement, shard_shots, num_shards)
         distance, grid = 3, ((5.0, 256, 2),)
         near = _bench_near_threshold(3, 1.0, 1024)
         mwpm_batched = _bench_mwpm_batched(3, 5.0, 4096)
-        memo_share = _bench_memo_share(3, 5.0, 256, 8, workers=2)
     else:
         # The 1x point records the noisy-regime trajectory; the paper's
         # 5x design point carries the acceptance assertions and gets a
@@ -428,10 +279,6 @@ def test_sampling_decoding_fastpath():
         # Deep below threshold (x20): sparse defect sets, the regime
         # where batched MWPM's vectorised kernels pay the most.
         mwpm_batched = _bench_mwpm_batched(5, 20.0, 65536)
-        memo_share = _bench_memo_share(5, 5.0, 2048, 16, workers=4)
-        memo_share["multiprocess"] = _bench_memo_share_mp(
-            5, 5.0, 1024, 16, workers=2
-        )
 
     points = [
         _bench_point(distance, improvement, shard_shots, num_shards)
@@ -476,16 +323,6 @@ def test_sampling_decoding_fastpath():
         f"{mwpm_batched['batched_decodes_per_s']:.0f}/s "
         f"({mwpm_batched['speedup']:.1f}x)"
     )
-    share_on = memo_share["shared"]
-    share_off = memo_share["unshared"]
-    lines.append(
-        f"memo share ({share_on['workers']} workers, "
-        f"{memo_share['num_shards']}x{memo_share['shard_shots']} shots): "
-        f"global hit rate {share_off['hit_rate']:.1%} -> "
-        f"{share_on['hit_rate']:.1%} "
-        f"({share_on['shared_hits']} cross-worker hits; single-worker "
-        f"{memo_share['single_worker']['hit_rate']:.1%})"
-    )
     top = max(points, key=lambda p: p["gate_improvement"])
     lines.append(
         f"fast-path phases (x{top['gate_improvement']:g}, coverage "
@@ -511,7 +348,6 @@ def test_sampling_decoding_fastpath():
         "points": points,
         "near_threshold": near,
         "mwpm_batched": mwpm_batched,
-        "memo_share": memo_share,
     }
     with open(BENCH_PATH, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -526,13 +362,6 @@ def test_sampling_decoding_fastpath():
         assert p["phases"], "telemetry recorded no fast-path phases"
     assert near["speedup"] > 1.0, near
     assert mwpm_batched["speedup"] > 1.0, mwpm_batched
-    # Cross-worker dedupe gate: sharding must lift the pool's global
-    # hit rate above the diluted per-process-memo rate (the whole point
-    # of protocol-v3 memo sharding), with identical failure counts
-    # (asserted inside the bench).
-    assert (memo_share["shared"]["hit_rate"]
-            > memo_share["unshared"]["hit_rate"]), memo_share
-    assert memo_share["shared"]["shared_hits"] > 0, memo_share
     if not smoke():
         # Attribution honesty gate: the telemetry phase totals must
         # reconstruct the independently-measured fast-path wall clock
@@ -550,7 +379,3 @@ def test_sampling_decoding_fastpath():
         # Batched MWPM acceptance: >= 5x decode throughput over the
         # per-shot scalar matcher at the deep below-threshold point.
         assert mwpm_batched["speedup"] >= 5.0, mwpm_batched
-        # The live two-process pool must show the same dedupe win the
-        # deterministic simulation gates above.
-        mp = memo_share["multiprocess"]
-        assert mp["shared"]["hit_rate"] > mp["unshared"]["hit_rate"], mp

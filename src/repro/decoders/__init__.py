@@ -12,13 +12,11 @@
   a cross-shard syndrome memo.
 """
 
-from . import native
 from .batch import (
     BatchDecoderMixin,
     SyndromeMemo,
     decode_batch_dedup,
     decode_packed_dedup,
-    memo_owner,
     unique_packed_rows,
 )
 from .graph import DetectorEdge, DetectorGraph, llr_weight
@@ -31,9 +29,7 @@ __all__ = [
     "SyndromeMemo",
     "decode_batch_dedup",
     "decode_packed_dedup",
-    "memo_owner",
     "unique_packed_rows",
-    "native",
     "DetectorEdge",
     "DetectorGraph",
     "llr_weight",

@@ -40,8 +40,6 @@ else inherits the unpack-distinct-rows adapter for free.
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 
 from ..sim.dem_sampler import pack_bool_rows, unpack_bool_rows
@@ -54,25 +52,12 @@ from ..telemetry import span
 DEFAULT_MEMO_LIMIT = 1 << 18
 
 
-def memo_owner(key: bytes, slots: int) -> int:
-    """Which pool slot owns a packed-syndrome key.
-
-    CRC32 rather than ``hash()``: ownership must agree across worker
-    processes and hosts, and python's string hashing is salted per
-    process.
-    """
-    return zlib.crc32(key) % slots
-
-
 class SyndromeMemo:
     """Bounded ``packed syndrome -> correction mask`` memo with stats.
 
-    With cross-worker sharing enabled (:meth:`enable_sharing`) the memo
-    becomes one segment of a pool-wide table sharded by syndrome hash:
-    locally-decoded entries this slot *owns* queue in an outbox for the
-    driver to redistribute, and entries learned from peers arrive via
-    :meth:`absorb`.  ``shared_hits`` counts hits served by absorbed
-    entries — the observable cross-worker half of the dedupe rate.
+    One memo serves one (circuit, decoder) pair within one process —
+    a multi-slot worker's threads share it; separate workers never
+    exchange entries.
     """
 
     def __init__(self, limit: int = DEFAULT_MEMO_LIMIT):
@@ -80,77 +65,26 @@ class SyndromeMemo:
         self.table: dict[bytes, int] = {}
         self.hits = 0
         self.misses = 0
-        self.shared_hits = 0
-        # (slot, slots) when this memo is a shard of a pool-wide table.
-        self._share: tuple[int, int] | None = None
-        self._outbox: list[tuple[bytes, int]] = []
-        # Keys that arrived from peers (absorb) rather than local decode.
-        self.remote_keys: set[bytes] = set()
 
     def __len__(self) -> int:
         return len(self.table)
 
-    # -- cross-worker sharing ------------------------------------------
-    def enable_sharing(self, slot: int, slots: int) -> None:
-        if slots < 1 or not 0 <= slot < slots:
-            raise ValueError(f"bad memo share slot {slot}/{slots}")
-        self._share = (int(slot), int(slots))
-
-    def disable_sharing(self) -> None:
-        self._share = None
-        self._outbox = []
-
-    @property
-    def sharing(self) -> bool:
-        return self._share is not None
-
     def insert(self, key: bytes, mask: int) -> bool:
-        """Record one locally-decoded syndrome; ``False`` once full.
-
-        Owned entries (hash-sharded to this slot) also queue in the
-        outbox so the pool driver can redistribute them.
-        """
+        """Record one decoded syndrome; ``False`` once full."""
         if len(self.table) >= self.limit:
             return False
         self.table[key] = mask
-        share = self._share
-        if share is not None and memo_owner(key, share[1]) == share[0]:
-            self._outbox.append((key, mask))
         return True
 
-    def drain_outbox(self) -> list[tuple[bytes, int]]:
-        """Owned entries inserted since the last drain (and clear)."""
-        out, self._outbox = self._outbox, []
-        return out
-
-    def absorb(self, entries) -> int:
-        """Merge peer-decoded entries; returns how many were new.
-
-        Absorbed entries never re-enter the outbox (the driver already
-        has them) and count as neither hits nor misses — only later
-        lookups that land on them bump ``shared_hits``.
-        """
-        table = self.table
-        added = 0
-        for key, mask in entries:
-            if key not in table and len(table) < self.limit:
-                table[key] = mask
-                self.remote_keys.add(key)
-                added += 1
-        return added
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> tuple[int, int, int, int]:
-        """``(hits, misses, entries, shared_hits)`` — diffable around a
-        shard so the engine can attribute memo traffic to individual
-        shards."""
-        return (self.hits, self.misses, len(self.table), self.shared_hits)
+    def snapshot(self) -> tuple[int, int, int]:
+        """``(hits, misses, entries)`` — diffable around a shard so the
+        engine can attribute memo traffic to individual shards."""
+        return (self.hits, self.misses, len(self.table))
 
     def stats(self) -> dict:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "shared_hits": self.shared_hits,
             "entries": len(self.table),
             "limit": self.limit,
         }
@@ -199,14 +133,10 @@ def decode_packed_dedup(
         else:
             missing = []
             table = memo.table
-            remote = memo.remote_keys
             for row in range(len(uniq)):
-                key = uniq[row].tobytes()
-                cached = table.get(key)
+                cached = table.get(uniq[row].tobytes())
                 if cached is not None:
                     memo.hits += 1
-                    if remote and key in remote:
-                        memo.shared_hits += 1
                     corrections[row] = cached
                 else:
                     memo.misses += 1

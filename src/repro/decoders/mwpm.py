@@ -34,7 +34,6 @@ import numpy as np
 import networkx as nx
 
 from ..sim.dem_sampler import unpack_bool_rows
-from . import native
 from .batch import BatchDecoderMixin
 from .graph import DetectorGraph
 
@@ -399,11 +398,6 @@ class MwpmDecoder(BatchDecoderMixin):
             pairs = _match3(db, dd)
         elif m <= _DP_MAX_CLUSTER:
             pairs = _dp_match(db, dd)
-        elif m <= native.NATIVE_MAX_CLUSTER and native.enabled():
-            # Opt-in compiled kernel: the exact subset DP, JIT-ed,
-            # stretched past the pure-python cap — see
-            # repro.decoders.native for the tie-breaking caveat.
-            pairs = native.native_match(db, dd)
         else:
             pairs = _blossom_match(db, dd)
         graph = self.graph

@@ -92,11 +92,6 @@ class ProgressReporter:
                 f"{memo_stats.get('misses', 0)} misses, "
                 f"{memo_stats.get('peak_entries', 0)} peak entries"
             )
-            shared = memo_stats.get("shared_hits", 0)
-            if shared:
-                # Hits served by entries another worker decoded first —
-                # the cross-worker half of the dedupe rate.
-                line += f" ({shared} cross-worker)"
         self._emit(line)
         if phase_s:
             self._emit("phases: " + format_phase_share(phase_s))
@@ -123,10 +118,6 @@ class ProgressReporter:
         memo = snapshot.get("memo") or {}
         if "hit_rate" in memo:
             line += f" | memo hit rate {memo['hit_rate']:.1%}"
-            shared = memo.get("shared_hits", 0)
-            total = memo.get("hits", 0) + memo.get("misses", 0)
-            if shared and total:
-                line += f" ({shared / total:.1%} cross-worker)"
         phase_s = snapshot.get("phase_s")
         if phase_s:
             line += " | " + format_phase_share(phase_s)

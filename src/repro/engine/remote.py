@@ -47,7 +47,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from ..decoders import native
 from ..telemetry import configure as configure_telemetry
 from .runner import (
     NoLiveWorkersError,
@@ -60,21 +59,14 @@ from .runner import (
 
 logger = logging.getLogger(__name__)
 
-# Version 2 adds the driver->worker ("config", settings) message and
-# the optional 7th (phases) element on "ok" replies.  Version 3 adds
-# cross-worker syndrome-memo sharding: the ``memo_share`` /
-# ``native_blossom`` config keys, the driver->worker ("memo", circuit,
-# decoder, entries, epoch) replication message, and the optional 8th
-# (published memo entries) element on "ok" replies.  Version 4 adds
-# multi-slot workers and work stealing: the hello grows a capability
-# dict (``("hello", 4, {"slots": N})``), shard tuples may extend to 10
-# elements with a stolen window's ``(offset, parent_shots)``, and a
-# multi-slot worker's "ok" replies are padded to 8 elements and append
-# the executing slot as a 9th so each slot gets its own telemetry
-# lane.  Drivers gate each feature on the version a worker said hello
-# with, so mixed deployments keep working: an old worker simply never
-# reports phases, joins the shared memo, or receives a stolen window.
-PROTOCOL_VERSION = 4
+# The worker opens every session with ``("hello", PROTOCOL_VERSION,
+# {"slots": N})``; the driver then sends the messages of
+# :func:`~repro.engine.runner.handle_worker_message` (prime, dmat,
+# config, shard, stop) and reads its fixed-shape replies.  Driver and
+# worker ship in one package, so there is exactly one message format:
+# a driver refuses a worker whose hello names any other version
+# (bump the number whenever a message shape changes).
+PROTOCOL_VERSION = 5
 _HEADER = struct.Struct(">I")
 # A frame is bounded by the largest prime payload (two DEM JSONs plus
 # the all-pairs distance matrices) — far below this, but cap it so a
@@ -147,7 +139,7 @@ def _serve_connection(conn: socket.socket, slots: int = 1,
     so stale circuits can never leak between sweeps.
 
     With ``slots > 1`` the session runs shards concurrently on a
-    thread pool of that width: prime / dmat / memo / config messages
+    thread pool of that width: prime / dmat / config messages
     are still applied inline on the receive thread (so a shard never
     races the prime it depends on), only shard messages fan out.
     ``chaos_shard_delay`` sleeps that long before each shard — a fault-
@@ -157,12 +149,9 @@ def _serve_connection(conn: socket.socket, slots: int = 1,
     conn.sendall(
         _encode_frame(("hello", PROTOCOL_VERSION, {"slots": slots}))
     )
-    # Telemetry and the native-matcher opt-in are per-driver state: a
-    # serve-forever worker must not carry the previous driver's
-    # settings into the next session.  (Memo sharding already resets
-    # with the per-connection executor.)
+    # Telemetry is per-driver state: a serve-forever worker must not
+    # carry the previous driver's setting into the next session.
     configure_telemetry(enabled=False)
-    native.configure(False)
     executor = ShardExecutor(slots=slots)
     if slots == 1:
         while True:
@@ -183,10 +172,8 @@ def _serve_multislot(conn: socket.socket, executor: ShardExecutor,
 
     Exactly ``slots`` pool threads each claim a slot id from a free
     queue for the duration of one shard, so the slot in a reply names
-    which concurrency lane ran it.  Replies are serialised by a send
-    lock; ``ok`` replies are padded to 8 elements (phases, published)
-    and the slot appended as a 9th — an unambiguous protocol >= 4
-    shape the driver turns into per-slot telemetry lanes.
+    which concurrency lane ran it (the driver turns it into per-slot
+    telemetry lanes).  Replies are serialised by a send lock.
     """
     send_lock = threading.Lock()
     free_slots: queue_module.Queue = queue_module.Queue()
@@ -208,8 +195,6 @@ def _serve_multislot(conn: socket.socket, executor: ShardExecutor,
             free_slots.put(slot)
         if reply is None:
             return
-        if reply[0] == "ok":
-            reply = reply + (None,) * (8 - len(reply)) + (slot,)
         try:
             send(reply)
         except OSError:
@@ -320,8 +305,8 @@ class _Connection:
     """Driver-side state of one worker link."""
 
     __slots__ = (
-        "addr", "sock", "buffer", "alive", "protocol", "slots",
-        "outbox", "outbox_since", "interest",
+        "addr", "sock", "buffer", "alive", "slots", "outbox",
+        "outbox_since", "interest",
     )
 
     def __init__(self, addr: tuple[str, int], sock: socket.socket):
@@ -329,8 +314,7 @@ class _Connection:
         self.sock = sock
         self.buffer = bytearray()
         self.alive = True
-        self.protocol = 1  # updated from the worker's hello
-        self.slots = 1  # concurrent shard lanes (protocol >= 4 hello)
+        self.slots = 1  # concurrent shard lanes (from the hello)
         # Frames queued behind a full socket buffer, flushed by the
         # event loop as the socket turns writable; ``outbox_since``
         # timestamps the last flush progress so a wedged worker
@@ -364,9 +348,11 @@ class RemoteBackend(WorkerPoolBackend):
     roster: unreachable workers at start are tolerated (any one
     suffices) and the driver periodically rescans the list mid-sweep,
     so ``--serve-forever`` nodes can join a running sweep — a joiner
-    is primed and receives the replicated memo segments exactly like a
-    first-class member.  The default (strict) mode keeps the original
-    contract: every listed worker must be reachable at start.
+    is primed exactly like a first-class member.  The default (strict)
+    mode keeps the original contract: every listed worker must be
+    reachable at start.  Either way a worker speaking another protocol
+    version is refused: strict mode raises, elastic mode treats it as
+    unreachable.
     """
 
     name = "remote"
@@ -378,7 +364,6 @@ class RemoteBackend(WorkerPoolBackend):
         queue_depth: int = 2,
         connect_timeout: float = 10.0,
         send_timeout: float = 60.0,
-        memo_share: bool = True,
         elastic: bool = False,
         rescan_interval: float = 2.0,
     ):
@@ -386,7 +371,6 @@ class RemoteBackend(WorkerPoolBackend):
             raise ValueError("queue_depth must be positive")
         self.addrs = parse_addrs(addrs)
         self.queue_depth = queue_depth
-        self.memo_share = bool(memo_share)
         self.connect_timeout = connect_timeout
         self.send_timeout = send_timeout
         self.elastic = bool(elastic)
@@ -407,11 +391,6 @@ class RemoteBackend(WorkerPoolBackend):
         if worker < len(self._conns):
             return self._conns[worker].label
         return f"remote:{worker}"
-
-    def _worker_protocol(self, worker: int) -> int:
-        if worker < len(self._conns):
-            return self._conns[worker].protocol
-        return 1
 
     def _transport_stats(self) -> dict:
         return {
@@ -453,11 +432,16 @@ class RemoteBackend(WorkerPoolBackend):
                 f"worker at {addr[0]}:{addr[1]} did not say hello "
                 f"(got {hello!r}) — is it a repro-worker?"
             )
-        if len(hello) > 1:
-            conn.protocol = int(hello[1])
-        if len(hello) > 2 and isinstance(hello[2], dict):
-            # Protocol >= 4 capability dict; today just the slot count.
-            conn.slots = max(1, int(hello[2].get("slots", 1)))
+        version = hello[1] if len(hello) > 1 else None
+        if version != PROTOCOL_VERSION:
+            sock.close()
+            raise ConnectionError(
+                f"worker at {addr[0]}:{addr[1]} speaks protocol "
+                f"{version!r} but this driver speaks protocol "
+                f"{PROTOCOL_VERSION} — run the same repro version on "
+                "driver and workers"
+            )
+        conn.slots = max(1, int(hello[2]["slots"]))
         sock.settimeout(None)
         sock.setblocking(False)
         return conn
@@ -476,8 +460,7 @@ class RemoteBackend(WorkerPoolBackend):
         if self._conns:
             return
         self._selector = selectors.DefaultSelector()
-        unreachable: list[tuple] = []
-        last_error: ConnectionError | None = None
+        unreachable: list[ConnectionError] = []
         for addr in self.addrs:
             try:
                 conn = self._connect(addr)
@@ -485,18 +468,14 @@ class RemoteBackend(WorkerPoolBackend):
                 if not self.elastic:
                     self._teardown()
                     raise
-                unreachable.append(addr)
-                last_error = exc
+                unreachable.append(exc)
                 continue
             self._adopt(conn)
         if not self._conns:
             self._teardown()
-            raise last_error  # every address failed; elastic needs one
-        for addr in unreachable:
-            logger.warning(
-                "elastic pool: worker %s:%s unreachable at start; will "
-                "keep rescanning", addr[0], addr[1],
-            )
+            raise unreachable[-1]  # every address failed; elastic needs one
+        for exc in unreachable:
+            logger.warning("elastic pool: %s; will keep rescanning", exc)
 
     def _rescan(self) -> None:
         """Elastic membership: reconnect roster addresses with no live
@@ -667,10 +646,21 @@ class RemoteBackend(WorkerPoolBackend):
                 continue
             self._bytes_in += len(chunk)
             conn.buffer.extend(chunk)
-            for message in self._parse_buffer(conn):
+            messages, corrupt = self._parse_buffer(conn)
+            for message in messages:
                 outcome = self._handle(message)
                 if outcome is not None:
                     outcomes.append(outcome)
+            if corrupt:
+                # Framing is lost for good: nothing after this header
+                # can be parsed, so the worker's in-flight shards would
+                # never return.  Treat it exactly like a dead socket.
+                logger.warning(
+                    "remote worker %s sent a frame header over the "
+                    "%d-byte limit; declaring it dead",
+                    conn.label, _MAX_FRAME,
+                )
+                self._worker_died(worker)
         # Age out wedged outboxes even when their sockets never turn
         # writable (the peer advertises no window at all).
         now = time.monotonic()
@@ -681,17 +671,21 @@ class RemoteBackend(WorkerPoolBackend):
         return outcomes
 
     @staticmethod
-    def _parse_buffer(conn: _Connection):
+    def _parse_buffer(conn: _Connection) -> tuple[list, bool]:
+        """Complete frames buffered so far, and whether the next header
+        is corrupt (longer than ``_MAX_FRAME``)."""
         messages = []
         buffer = conn.buffer
         while len(buffer) >= _HEADER.size:
             (length,) = _HEADER.unpack(buffer[:_HEADER.size])
+            if length > _MAX_FRAME:
+                return messages, True
             if len(buffer) < _HEADER.size + length:
                 break
             payload = bytes(buffer[_HEADER.size:_HEADER.size + length])
             del buffer[:_HEADER.size + length]
             messages.append(pickle.loads(payload))
-        return messages
+        return messages, False
 
     # ------------------------------------------------------------------
     def poll(self) -> list[ShardOutcome]:

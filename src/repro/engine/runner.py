@@ -55,7 +55,6 @@ from ..arch.wiring import wiring_by_name
 from ..codes import make_code
 from ..core.compiler import CompilerConfig, QccdCompiler
 from ..core.stim_export import program_to_circuit
-from ..decoders import native
 from ..decoders.batch import SyndromeMemo
 from ..decoders.graph import DetectorGraph
 from ..ler.estimator import make_decoder
@@ -159,11 +158,9 @@ def sample_shard(
     decoder consumes the uint64 words via ``logical_failures_packed``
     and the shard's ``SeedSequence`` fully determines the draw.
 
-    Returns ``(failures, (memo_hits, memo_misses, memo_size,
-    memo_shared_hits), phases)`` — the shard's own syndrome-memo
-    traffic (``memo_shared_hits`` counts the hits served by entries
-    another worker decoded and the driver replicated in) and, when
-    telemetry is enabled, its per-phase exclusive seconds (sample /
+    Returns ``(failures, (memo_hits, memo_misses, memo_size), phases)``
+    — the shard's own syndrome-memo traffic and, when telemetry is
+    enabled, its per-phase exclusive seconds (sample /
     unique / memo / decode / scatter, plus ``other`` for the residue
     between the instrumented phases and the shard's wall clock).
     ``phases`` is ``None`` with telemetry off — the hot path stays
@@ -200,14 +197,14 @@ def sample_shard(
                     packed.num_detectors, packed.num_observables,
                 )
         memo = decoder.syndrome_memo()
-        hits0, misses0, _, shared0 = memo.snapshot()
+        hits0, misses0, _ = memo.snapshot()
         failures = int(
             decoder.logical_failures_packed(
                 packed.det_words, packed.obs_words
             ).sum()
         )
-        hits1, misses1, size, shared1 = memo.snapshot()
-    memo_stats = (hits1 - hits0, misses1 - misses0, size, shared1 - shared0)
+        hits1, misses1, size = memo.snapshot()
+    memo_stats = (hits1 - hits0, misses1 - misses0, size)
     if not enabled:
         return failures, memo_stats, None
     phases = telemetry.phase_delta(phases0)
@@ -331,7 +328,9 @@ class ShardExecutor:
     threads.  Decoders are keyed per slot — MWPM/union-find instances
     hold mutable per-decode scratch — while the syndrome memo and the
     DEM sampler are shared across slots per circuit (the memo *is* the
-    dedupe; the sampler is stateless per call).  Construction of
+    dedupe; the sampler is stateless per call).  The memo never leaves
+    the worker: each worker decodes its own first sightings.
+    Construction of
     decoders and samplers is serialized by ``_build_lock`` because
     building mutates shared lazy caches on the detector graph.
     """
@@ -346,74 +345,19 @@ class ShardExecutor:
         self._memos: dict[tuple[str, str], object] = {}
         self._samplers: dict[str, DemSampler] = {}
         self._build_lock = threading.RLock()
-        # (slot, slots) while the driver has cross-worker syndrome-memo
-        # sharing on for this worker; None otherwise.
-        self._memo_share: tuple[int, int] | None = None
-
-    def set_memo_share(self, share) -> None:
-        """Apply the driver's memo-sharding assignment (or ``None``).
-
-        ``share`` is the ``{"slot": .., "slots": ..}`` dict from the
-        ``config`` message: this worker owns the syndrome keys hashing
-        to ``slot`` and queues them for the driver to redistribute.
-        Applies to every existing decoder memo and to ones built later.
-        """
-        if share:
-            self._memo_share = (int(share["slot"]), int(share["slots"]))
-        else:
-            self._memo_share = None
-        with self._build_lock:
-            for memo in self._memos.values():
-                if self._memo_share is not None:
-                    memo.enable_sharing(*self._memo_share)
-                else:
-                    memo.disable_sharing()
-
-    def absorb_memo(self, circuit_key, decoder_name, entries) -> int:
-        """Merge peer-decoded memo entries pushed by the driver.
-
-        Tolerant of ordering: if this worker never built the decoder
-        (e.g. the circuit was abandoned before its first shard landed
-        here) the entries are dropped — the driver keeps the segment
-        and will replay it before the next shard of that pair anyway.
-        """
-        entry = self._circuits.get(circuit_key)
-        if entry is None:
-            return 0
-        return self._memo_for(circuit_key, decoder_name).absorb(entries)
-
-    def drain_memo(self, circuit_key, decoder_name) -> list:
-        """Owned memo entries decoded since the last drain (see
-        :meth:`repro.decoders.batch.SyndromeMemo.drain_outbox`)."""
-        memo = self._memos.get((circuit_key, decoder_name))
-        if memo is None:
-            return []
-        return memo.drain_outbox()
-
-    def _memo_for(self, circuit_key, decoder_name):
-        pair = (circuit_key, decoder_name)
-        memo = self._memos.get(pair)
-        if memo is None:
-            with self._build_lock:
-                memo = self._memos.get(pair)
-                if memo is None:
-                    memo = SyndromeMemo()
-                    if self._memo_share is not None:
-                        memo.enable_sharing(*self._memo_share)
-                    self._memos[pair] = memo
-        return memo
 
     def _decoder_for(self, circuit_key, decoder_name, graph, slot: int = 0):
         key = (circuit_key, decoder_name, slot)
         decoder = self._decoders.get(key)
         if decoder is None:
-            memo = self._memo_for(circuit_key, decoder_name)
             with self._build_lock:
                 decoder = self._decoders.get(key)
                 if decoder is None:
                     decoder = make_decoder(graph, decoder_name)
                     # Every slot's decoder of this pair shares one memo.
-                    decoder._memo = memo
+                    decoder._memo = self._memos.setdefault(
+                        (circuit_key, decoder_name), SyndromeMemo()
+                    )
                     self._decoders[key] = decoder
         return decoder
 
@@ -470,25 +414,27 @@ class ShardExecutor:
         )
 
 
-def handle_worker_message(executor: ShardExecutor, message: tuple, slot: int = 0):
+def handle_worker_message(
+    executor: ShardExecutor, message: tuple, slot: int | None = None
+):
     """Process one driver message; returns the reply tuple or ``None``.
 
     The request/reply state machine shared by both worker transports:
-    ``prime`` / ``dmat`` / ``memo`` update the executor (priming errors
-    are reported with ``seq=None``), ``config`` applies worker-side
-    settings (telemetry, memo sharding, the native matcher opt-in),
-    ``shard`` samples and replies; ``stop`` is the caller's business.
-    A shard that ran with telemetry enabled replies with a 7th element
-    — its per-phase seconds dict — and a shard that produced owned
-    syndrome-memo entries under cross-worker sharing (protocol >= 3)
-    appends them as an 8th; drivers on the old 6-tuple protocol never
-    enable either, so they never see the longer shapes.
+    ``prime`` / ``dmat`` update the executor (priming errors are
+    reported with ``seq=None``), ``config`` applies worker-side
+    settings (today only the telemetry switch), ``shard`` samples and
+    replies; ``stop`` is the caller's business.
 
-    Protocol >= 4 drivers may extend the 8-element shard tuple with
-    ``(offset, parent_shots)`` — a stolen *window* of a planned shard;
-    older tuples run unwindowed.  ``slot`` is which of a multi-slot
-    worker's lanes is executing this call (the transport appends it to
-    the reply itself; see ``remote._serve_connection``).
+    A shard message is always ``("shard", seq, circuit_key, decoder,
+    sampler, shots, seed, epoch, offset, parent_shots)``;
+    ``parent_shots`` is ``None`` for a whole planned shard and set for
+    a stolen *window* of one.  Every reply has one shape,
+    ``(kind, seq, value, elapsed_s, epoch, memo, phases, slot)``:
+    ``kind`` is ``"ok"`` (``value`` = failures, ``memo`` = the shard's
+    ``(hits, misses, size)``) or ``"error"`` (``value`` = traceback,
+    ``memo`` = ``None``); ``phases`` is the per-phase seconds dict or
+    ``None`` with telemetry off; ``slot`` names which lane of a
+    multi-slot worker ran the shard, ``None`` for a single-slot worker.
     """
     kind = message[0]
     if kind == "prime":
@@ -496,16 +442,12 @@ def handle_worker_message(executor: ShardExecutor, message: tuple, slot: int = 0
         try:
             executor.prime(circuit_key, circuit_text, dem_data, sdem_data, dmat)
         except BaseException:
-            return ("error", None, traceback.format_exc(), 0.0, epoch, None)
+            return ("error", None, traceback.format_exc(), 0.0, epoch,
+                    None, None, slot)
         return None
     if kind == "dmat":
         _, circuit_key, dmat, epoch = message
         executor.set_dmat(circuit_key, dmat)
-        return None
-    if kind == "memo":
-        # Peer-decoded syndrome entries replicated in by the driver.
-        _, circuit_key, decoder_name, entries, _epoch = message
-        executor.absorb_memo(circuit_key, decoder_name, entries)
         return None
     if kind == "config":
         # Driver-controlled worker settings.  Settings are per-driver
@@ -513,28 +455,21 @@ def handle_worker_message(executor: ShardExecutor, message: tuple, slot: int = 0
         # none — all off) per session.
         _, settings = message
         configure_telemetry(enabled=bool(settings.get("telemetry", False)))
-        executor.set_memo_share(settings.get("memo_share"))
-        native.configure(bool(settings.get("native_blossom", False)))
         return None
     (_, seq, circuit_key, decoder_name, sampler_name, shots, seed,
-     epoch) = message[:8]
-    offset = message[8] if len(message) > 8 else 0
-    parent_shots = message[9] if len(message) > 9 else None
+     epoch, offset, parent_shots) = message
     try:
         t0 = time.perf_counter()
         failures, memo, phases = executor.run(
             circuit_key, decoder_name, sampler_name, shots, seed,
-            offset=offset, parent_shots=parent_shots, slot=slot,
+            offset=offset, parent_shots=parent_shots,
+            slot=0 if slot is None else slot,
         )
         elapsed = time.perf_counter() - t0
-        published = executor.drain_memo(circuit_key, decoder_name)
-        if published:
-            return ("ok", seq, failures, elapsed, epoch, memo, phases, published)
-        if phases is not None:
-            return ("ok", seq, failures, elapsed, epoch, memo, phases)
-        return ("ok", seq, failures, elapsed, epoch, memo)
+        return ("ok", seq, failures, elapsed, epoch, memo, phases, slot)
     except BaseException:
-        return ("error", seq, traceback.format_exc(), 0.0, epoch, None)
+        return ("error", seq, traceback.format_exc(), 0.0, epoch,
+                None, None, slot)
 
 
 def _worker_main(task_queue, result_queue) -> None:
@@ -561,9 +496,12 @@ class WorkerPoolBackend:
     The multiprocessing and socket (remote) backends dispatch identical
     messages — ``prime`` (at most once per (worker, circuit): circuit
     text, both DEM payloads, MWPM distance matrices), late ``dmat``
-    delivery, tiny payload-free ``shard`` tuples, ``stop`` — and
-    receive identical ``("ok"/"error", seq, value, elapsed, epoch,
-    memo)`` replies.  This base owns the bookkeeping: priming state,
+    delivery, ``config`` (only when telemetry is on), tiny
+    payload-free ``shard`` tuples, ``stop`` — and receive the
+    fixed-shape replies of :func:`handle_worker_message`.  Driver and
+    workers ship in one package, so there is exactly one message
+    format and no per-worker feature gating.  This base owns the
+    bookkeeping: priming state,
     per-worker load, the seq -> worker dispatch map, abandoned-sweep
     epochs, and **crash recovery** — a dead worker's in-flight shards
     are disowned into a lost list that the scheduler reaps via
@@ -578,32 +516,10 @@ class WorkerPoolBackend:
 
     name = "pool"
     queue_depth: int = 2
-    # Cross-worker syndrome-memo dedupe (protocol >= 3): workers shard
-    # memo ownership by syndrome hash, publish owned entries with their
-    # shard replies, and the driver replicates each worker's new entries
-    # to the others piggybacked on shard dispatch.  Default on; pools
-    # whose workers speak protocol < 3 silently never engage it.
-    memo_share: bool = True
 
     def _init_pool(self) -> None:
         self._load: list[int] = []
         self._primed: set[tuple[int, str]] = set()
-        # Memo-share bookkeeping.  The segment store survives epochs on
-        # purpose: syndrome -> correction is deterministic content, so
-        # entries learned during an abandoned sweep stay valid for the
-        # next sweep of the same (circuit, decoder) pair.
-        # task seq -> (circuit_key, decoder) so a reply's published
-        # entries can be filed without widening the dispatch tuples.
-        self._shard_meta: dict[int, tuple[str, str]] = {}
-        # (circuit_key, decoder) -> ordered [(key, mask, origin), ...]
-        self._memo_segments: dict[tuple[str, str], list] = {}
-        self._memo_known: dict[tuple[str, str], set] = {}
-        # (worker, circuit_key, decoder) -> index into the segment of
-        # the first entry this worker has not been sent yet.
-        self._memo_cursors: dict[tuple[int, str, str], int] = {}
-        self._memo_published = 0
-        self._memo_duplicates = 0
-        self._memo_pushed = 0
         # (worker, circuit) pairs whose prime included the MWPM
         # distance matrices (or received them in a late "dmat" send).
         self._dmat_primed: set[tuple[int, str]] = set()
@@ -655,11 +571,6 @@ class WorkerPoolBackend:
         pool health (``host:port`` for remote, ``mp:N`` for local)."""
         return f"{self.name}:{worker}"
 
-    def _worker_protocol(self, worker: int) -> int:
-        """Worker protocol version; in-process pools always match the
-        driver, socket workers report theirs in the hello."""
-        return 2
-
     # ------------------------------------------------------------------
     @property
     def capacity(self) -> int:
@@ -669,14 +580,9 @@ class WorkerPoolBackend:
         return max(1, self._worker_slots()) * self.queue_depth
 
     def supports_windows(self) -> bool:
-        """Whether some live worker can run windowed (stolen)
-        sub-shards — the scheduler's steal-eligibility probe.  Window
-        fields ride on protocol >= 4 shard tuples, so a pool of only
-        older workers reports False and stealing never engages."""
-        return any(
-            self._worker_protocol(worker) >= 4
-            for worker in self._live_workers()
-        )
+        """Every pool worker runs windowed (stolen) sub-shards — the
+        scheduler's steal-eligibility probe."""
+        return True
 
     def stale_pending(self) -> list[int]:
         """In-flight task seqs old enough to be straggler suspects,
@@ -712,9 +618,6 @@ class WorkerPoolBackend:
         while True:
             live = self._live_workers()
             if task.parent_shots is not None:
-                # Stolen windows need the protocol-4 shard tuple; in a
-                # mixed pool only the newer workers can run them.
-                live = [w for w in live if self._worker_protocol(w) >= 4]
                 parent = (
                     self._dispatch.get(task.parent_seq)
                     if task.parent_seq is not None else None
@@ -728,11 +631,8 @@ class WorkerPoolBackend:
                         live = others
             if not live:
                 raise NoLiveWorkersError(
-                    f"{self.name} backend: no live worker"
-                    + (" speaks protocol >= 4;"
-                       if task.parent_shots is not None else ";")
-                    + f" cannot run shard {task.shard_index} of job "
-                    f"{task.job_key}"
+                    f"{self.name} backend: no live worker; cannot run "
+                    f"shard {task.shard_index} of job {task.job_key}"
                 )
             worker = self._pick_worker(task.circuit_key, live)
             try:
@@ -744,41 +644,17 @@ class WorkerPoolBackend:
             self._dispatch[task.seq] = (
                 worker, task.job_key, task.shots, time.perf_counter()
             )
-            self._shard_meta[task.seq] = (task.circuit_key, task.decoder)
             return
 
     def _maybe_configure(self, worker: int) -> None:
-        """Ship this driver's settings to a worker exactly once.
-
-        Only when something is actually on (the all-off path must not
-        change the wire conversation at all) and only to workers
-        speaking a protocol that understands each setting — an old
-        worker would crash on an unknown kind, and a protocol-2 worker
-        ignores settings keys it never reads, so memo sharding and the
-        native matcher are withheld below protocol 3.
-        """
+        """Ship this driver's settings to a worker exactly once, and
+        only when telemetry is on: the all-off path must not change
+        the wire conversation at all."""
         if worker in self._configured:
             return
         self._configured.add(worker)
-        protocol = self._worker_protocol(worker)
-        settings: dict = {}
         if active_telemetry().enabled:
-            settings["telemetry"] = True
-        if protocol >= 3:
-            if self.memo_share:
-                # Slot identity is the worker index; the divisor is the
-                # full pool width (dead workers included) so ownership
-                # never reshuffles — a dead slot's syndromes simply stop
-                # being published, which costs hit rate, not
-                # correctness.
-                settings["memo_share"] = {
-                    "slot": worker,
-                    "slots": max(1, len(self._load), worker + 1),
-                }
-            if native.requested():
-                settings["native_blossom"] = True
-        if settings and protocol >= 2:
-            self._send(worker, ("config", settings))
+            self._send(worker, ("config", {"telemetry": True}))
 
     def _dispatch_shard(self, worker, task, compiled, cache, live) -> None:
         pair = (worker, task.circuit_key)
@@ -821,42 +697,12 @@ class WorkerPoolBackend:
                  self._epoch),
             )
             self._dmat_primed.add(pair)
-        self._send_memo_delta(worker, task)
-        shard = ("shard", task.seq, task.circuit_key, task.decoder,
-                 task.sampler, task.shots, task.seed, self._epoch)
-        if task.parent_shots is not None:
-            # Stolen window: extend with (offset, parent_shots).  Plain
-            # shards keep the 8-tuple so protocol <= 3 workers still
-            # unpack them.
-            shard = shard + (task.offset, task.parent_shots)
-        self._send(worker, shard)
-
-    def _send_memo_delta(self, worker, task) -> None:
-        """Replicate peer-published memo entries this worker has not
-        seen, piggybacked just before its shard — the worker is about
-        to decode this (circuit, decoder) pair, so the entries land
-        exactly where and when they can save work."""
-        if not self.memo_share or self._worker_protocol(worker) < 3:
-            return
-        segment = self._memo_segments.get((task.circuit_key, task.decoder))
-        if not segment:
-            return
-        cursor_key = (worker, task.circuit_key, task.decoder)
-        cursor = self._memo_cursors.get(cursor_key, 0)
-        if cursor >= len(segment):
-            return
-        self._memo_cursors[cursor_key] = len(segment)
-        entries = [
-            (key, mask)
-            for key, mask, origin in segment[cursor:]
-            if origin != worker  # the origin already holds its own
-        ]
-        if entries:
-            self._memo_pushed += len(entries)
-            self._send(
-                worker,
-                ("memo", task.circuit_key, task.decoder, entries, self._epoch),
-            )
+        self._send(
+            worker,
+            ("shard", task.seq, task.circuit_key, task.decoder, task.sampler,
+             task.shots, task.seed, self._epoch, task.offset,
+             task.parent_shots),
+        )
 
     def _pick_worker(self, circuit_key: str, live: list[int]) -> int:
         """Least-loaded live worker — load normalized by slot count, so
@@ -882,17 +728,8 @@ class WorkerPoolBackend:
         ]
         for seq in lost:
             del self._dispatch[seq]
-            self._shard_meta.pop(seq, None)
             self._forgotten.add(seq)
         self._lost.extend(lost)
-        # The dead worker's replication cursors are garbage now (its
-        # slot's unpublished entries die with it; the segments stay —
-        # entries already published remain valid for survivors).
-        self._memo_cursors = {
-            cursor_key: pos
-            for cursor_key, pos in self._memo_cursors.items()
-            if cursor_key[0] != worker
-        }
         self._crashes += 1
         self._resubmitted += len(lost)
         logger.warning(
@@ -915,25 +752,14 @@ class WorkerPoolBackend:
         return lost
 
     def _handle(self, message) -> ShardOutcome | None:
-        kind, seq, value, elapsed_s, epoch, memo = message[:6]
-        # Protocol >= 2 telemetry replies append the phase dict; a
-        # worker left enabled by an earlier driver must not leak phases
-        # into a telemetry-off run, so gate on our own setting too.
-        # Protocol >= 3 memo-sharing replies append the worker's newly
-        # owned memo entries as an 8th element.  Multi-slot protocol-4
-        # workers always pad to 8 and append the executing slot as a
-        # 9th, so each slot gets its own telemetry lane.
-        phases = message[6] if len(message) > 6 else None
-        published = message[7] if len(message) > 7 else None
-        slot = message[8] if len(message) > 8 else None
+        kind, seq, value, elapsed_s, epoch, memo, phases, slot = message
+        # A worker left enabled by an earlier driver must not leak
+        # phases into a telemetry-off run, so gate on our own setting.
         if not active_telemetry().enabled:
             phases = None
         if epoch != self._epoch:
             return None  # shard of an abandoned sweep: silently drop
         dispatched = self._dispatch.pop(seq, None)
-        meta = self._shard_meta.pop(seq, None)
-        if published and meta is not None and self.memo_share:
-            self._merge_memo(meta, published, dispatched[0] if dispatched else -1)
         if dispatched is None and seq in self._forgotten:
             # Disowned when its worker died: either the result beat the
             # death notice through a shared queue, or the resubmitted
@@ -949,7 +775,6 @@ class WorkerPoolBackend:
             raise RuntimeError(f"worker shard failed:\n{value}")
         if dispatched is None:
             raise RuntimeError(f"result for unknown shard task {seq}")
-        memo = memo if memo is not None else (0, 0, 0)
         label = self._worker_label(worker)
         if slot is not None:
             label = f"{label}#s{int(slot)}"
@@ -957,20 +782,6 @@ class WorkerPoolBackend:
             seq, job_key, shots, int(value), float(elapsed_s), *memo,
             phases=phases, worker=label,
         )
-
-    def _merge_memo(self, meta, entries, origin: int) -> None:
-        """File a worker's published memo entries into the pool-wide
-        segment (first publisher wins; the decode is deterministic, so
-        a duplicate key always carries the identical mask)."""
-        segment = self._memo_segments.setdefault(meta, [])
-        known = self._memo_known.setdefault(meta, set())
-        for key, mask in entries:
-            if key in known:
-                self._memo_duplicates += 1
-                continue
-            known.add(key)
-            segment.append((key, mask, origin))
-            self._memo_published += 1
 
     def _record_result_stats(
         self, worker: int, busy_s: float, t_sent: float
@@ -1014,16 +825,6 @@ class WorkerPoolBackend:
             "crashes": self._crashes,
             "resubmitted_shards": self._resubmitted,
         }
-        if self.memo_share and self._memo_published:
-            # Cross-worker dedupe traffic: distinct entries collected
-            # from workers, duplicates they raced to decode anyway, and
-            # the fan-out volume pushed back to peers.
-            health["memo_share"] = {
-                "segments": len(self._memo_segments),
-                "published_entries": self._memo_published,
-                "duplicate_publishes": self._memo_duplicates,
-                "pushed_entries": self._memo_pushed,
-            }
         health.update(self._transport_stats())
         return health
 
@@ -1043,7 +844,6 @@ class WorkerPoolBackend:
             if worker < len(self._load):
                 self._load[worker] -= 1
         self._dispatch.clear()
-        self._shard_meta.clear()
         self._lost = []
         self._forgotten = set()
 
@@ -1084,13 +884,11 @@ class MultiprocessBackend(WorkerPoolBackend):
         max_workers: int | None = None,
         start_method: str | None = None,
         queue_depth: int = 2,
-        memo_share: bool = True,
     ):
         self.max_workers = max_workers if max_workers else (os.cpu_count() or 2)
         if queue_depth < 1:
             raise ValueError("queue_depth must be positive")
         self.queue_depth = queue_depth
-        self.memo_share = bool(memo_share)
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
@@ -1104,10 +902,6 @@ class MultiprocessBackend(WorkerPoolBackend):
     # ------------------------------------------------------------------
     def _worker_label(self, worker: int) -> str:
         return f"mp:{worker}"
-
-    def _worker_protocol(self, worker: int) -> int:
-        # In-process workers run this very module: always current.
-        return 4
 
     def _worker_slots(self) -> int:
         if not self._procs:
@@ -1372,11 +1166,8 @@ class Runner:
         self._status_last = time.monotonic()
         self._artifacts: dict[tuple, JobArtifacts] = {}
         # Sweep-wide syndrome-memo tallies (hit/miss deltas summed over
-        # every shard; peak = largest single memo observed anywhere;
-        # shared_hits = hits served by entries another worker decoded).
-        self._memo_totals = {
-            "hits": 0, "misses": 0, "shared_hits": 0, "peak_entries": 0,
-        }
+        # every shard; peak = largest single memo observed anywhere).
+        self._memo_totals = {"hits": 0, "misses": 0, "peak_entries": 0}
         # Sweep-wide per-phase exclusive seconds (summed over shard
         # outcomes as they land) and total per-job setup time — the
         # phase breakdown the end-of-sweep summary reports.
@@ -1387,7 +1178,6 @@ class Runner:
         # _memo_totals only update when a whole job finalizes).
         self._live_memo_hits = 0
         self._live_memo_misses = 0
-        self._live_memo_shared = 0
         # What makes two samplings of the same job comparable: stored
         # results are only reused when all of this matches.
         self.run_config = {
@@ -1498,7 +1288,6 @@ class Runner:
         self._shards_done += 1
         self._live_memo_hits += outcome.memo_hits
         self._live_memo_misses += outcome.memo_misses
-        self._live_memo_shared += outcome.memo_shared_hits
         if (self.store is not None and self.checkpoint_shards
                 and task.parent_shots is None):
             # Stolen windows share their parent's shard_index; a
@@ -1527,10 +1316,6 @@ class Runner:
             telemetry.counter("failures").inc(outcome.failures)
             telemetry.counter("memo_hits").inc(outcome.memo_hits)
             telemetry.counter("memo_misses").inc(outcome.memo_misses)
-            if outcome.memo_shared_hits:
-                telemetry.counter("memo_shared_hits").inc(
-                    outcome.memo_shared_hits
-                )
             telemetry.histogram("shard_elapsed_s").observe(outcome.elapsed_s)
             if telemetry.trace and outcome.worker:
                 self._synthesize_lane_events(task, outcome, telemetry)
@@ -1573,8 +1358,6 @@ class Runner:
             "phase_s": self._sweep_phases(),
             "memo": {"hits": hits, "misses": misses},
         }
-        if self._live_memo_shared:
-            snapshot["memo"]["shared_hits"] = self._live_memo_shared
         if hits + misses:
             snapshot["memo"]["hit_rate"] = hits / (hits + misses)
         pool_health = getattr(self.backend, "pool_health", None)
@@ -1664,8 +1447,6 @@ class Runner:
             "misses": state.memo_misses,
             "entries": state.memo_size,
         }
-        if state.memo_shared_hits:
-            extras["memo"]["shared_hits"] = state.memo_shared_hits
         if state.phase_s:
             # Per-phase seconds summed over the job's shards, so stored
             # results record *where* this point's sampling time went.
@@ -1674,7 +1455,6 @@ class Runner:
             }
         self._memo_totals["hits"] += state.memo_hits
         self._memo_totals["misses"] += state.memo_misses
-        self._memo_totals["shared_hits"] += state.memo_shared_hits
         self._memo_totals["peak_entries"] = max(
             self._memo_totals["peak_entries"], state.memo_size
         )

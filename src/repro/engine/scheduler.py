@@ -89,7 +89,7 @@ class ShardTask:
     # Stolen-window fields: a window re-draws its parent's full
     # ``parent_shots`` sample from ``seed`` and decodes only rows
     # ``[offset, offset + shots)``.  ``parent_shots is None`` means a
-    # whole planned shard (the only shape protocol <= 3 workers see).
+    # whole planned shard.
     offset: int = 0
     parent_shots: int | None = None
     # Scheduler seq of the superseded parent (driver-side routing hint
@@ -126,11 +126,6 @@ class ShardOutcome:
     memo_hits: int = 0
     memo_misses: int = 0
     memo_size: int = 0
-    # Hits served by memo entries another worker decoded first and the
-    # driver replicated here (cross-worker dedupe, protocol v3).  Sits
-    # after memo_size so ``*memo_stats`` unpacking accepts both the old
-    # 3-tuple and the new 4-tuple snapshot shapes.
-    memo_shared_hits: int = 0
     phases: dict | None = field(default=None, compare=False)
     worker: str = ""
 
@@ -156,8 +151,7 @@ class JobState:
         "key", "compiled", "decoder", "sampler", "plan", "target_failures",
         "target_rel_stderr", "tranche_shards", "payload", "next_index",
         "inflight", "shots_done", "failures", "shots_submitted", "work_s",
-        "memo_hits", "memo_misses", "memo_size", "memo_shared_hits",
-        "phase_s", "retired",
+        "memo_hits", "memo_misses", "memo_size", "phase_s", "retired",
     )
 
     def __init__(
@@ -199,7 +193,6 @@ class JobState:
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_size = 0
-        self.memo_shared_hits = 0
         # Per-phase exclusive seconds summed over this job's shards
         # (seeded with checkpointed phases on resume, like work_s).
         self.phase_s: dict[str, float] = dict(initial_phases or {})
@@ -599,7 +592,6 @@ class StreamScheduler:
             state.work_s += outcome.elapsed_s
             state.memo_hits += outcome.memo_hits
             state.memo_misses += outcome.memo_misses
-            state.memo_shared_hits += outcome.memo_shared_hits
             if outcome.phases:
                 for phase, seconds in outcome.phases.items():
                     state.phase_s[phase] = state.phase_s.get(phase, 0.0) + seconds

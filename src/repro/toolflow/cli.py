@@ -132,15 +132,8 @@ def cmd_sweep(args) -> int:
     telemetry; sampled failure counts are bit-identical either way.
     """
     from .. import telemetry
-    from ..decoders import native
     from ..engine import SweepSpec
 
-    if args.native_blossom:
-        # Opt into the compiled large-cluster matcher (no-op where
-        # numba is absent); pool drivers forward the setting to their
-        # workers via the config message.
-        native.configure(True)
-    memo_share = not args.no_memo_share
     backend = None
     if args.backend == "remote" or (
         args.backend == "auto" and args.workers_addr
@@ -151,9 +144,7 @@ def cmd_sweep(args) -> int:
             print("--backend remote requires --workers-addr host:port[,...]",
                   file=sys.stderr)
             return 2
-        backend = RemoteBackend(
-            args.workers_addr, memo_share=memo_share, elastic=args.elastic,
-        )
+        backend = RemoteBackend(args.workers_addr, elastic=args.elastic)
     elif args.backend == "serial":
         from ..engine import SerialBackend
 
@@ -166,8 +157,7 @@ def cmd_sweep(args) -> int:
         # An explicit worker count is honoured exactly (even 1); only
         # the unset default (0) falls back to cpu_count.
         backend = MultiprocessBackend(
-            args.workers if args.workers >= 1 else None,
-            memo_share=memo_share,
+            args.workers if args.workers >= 1 else None
         )
 
     spec = SweepSpec(
@@ -317,15 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "shards are re-sharded across idle worker "
                               "slots; failure counts are bit-identical "
                               "either way)")
-    p_sweep.add_argument("--no-memo-share", action="store_true",
-                         help="disable cross-worker syndrome-memo "
-                              "sharing on pool backends (per-worker "
-                              "memos only, as before protocol v3)")
-    p_sweep.add_argument("--native-blossom", action="store_true",
-                         help="opt into the numba-compiled large-"
-                              "cluster matcher where available "
-                              "(ignored, with a pure-python fallback, "
-                              "when numba is not installed)")
     p_sweep.add_argument("--no-shard-checkpoints", action="store_true",
                          help="with --results: skip per-shard checkpoint "
                               "records (interrupted jobs then restart "

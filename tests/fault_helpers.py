@@ -12,6 +12,10 @@ Used by ``test_fault_tolerance.py`` (the chaos harness) and
   not re-executed on resume;
 - :func:`spawn_worker` / :func:`spawn_workers` — launch real
   ``repro-worker`` subprocesses on free ports;
+- :class:`FakeWorker` — a scripted in-process stand-in that sends
+  exact bytes (a wrong hello, a corrupt frame header);
+- :class:`StubPoolBackend` — a synchronous in-process worker pool
+  (real driver bookkeeping, real worker message handler);
 - :func:`run_sweep_driver` / :func:`wait_for_shard_lines` — drive a
   sweep in a subprocess and watch its result store, so tests can
   SIGKILL the driver between shards;
@@ -22,13 +26,20 @@ Used by ``test_fault_tolerance.py`` (the chaos harness) and
 from __future__ import annotations
 
 import os
+import socket
 import subprocess
 import sys
 import threading
 import time
 
 from repro.engine import CompilationCache, NoLiveWorkersError, SerialBackend
-from repro.engine.runner import Shard, sample_shard
+from repro.engine.runner import (
+    Shard,
+    ShardExecutor,
+    WorkerPoolBackend,
+    handle_worker_message,
+    sample_shard,
+)
 from repro.engine.scheduler import ShardOutcome
 
 SRC_DIR = os.path.abspath(
@@ -229,6 +240,107 @@ def spawn_worker(timeout: float = 30.0, extra_args: tuple = (),
         proc.wait()
         raise RuntimeError(f"worker failed to start: {line!r}")
     return proc, line[len(prefix):]
+
+
+class FakeWorker:
+    """A scripted stand-in for ``repro-worker`` on a free local port.
+
+    Every session it accepts is sent ``payload`` (raw bytes, exactly
+    as given) and then drained until the driver hangs up, so the
+    driver sees the scripted bytes and nothing else.  ``sessions``
+    counts the connections accepted.
+    """
+
+    def __init__(self, payload: bytes):
+        self._payload = payload
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.1)
+        host, port = self._listener.getsockname()[:2]
+        self.addr = f"{host}:{port}"
+        self.sessions = 0
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _peer = self._listener.accept()
+            except OSError:
+                continue  # accept timeout: re-check the stop flag
+            self.sessions += 1
+            with conn:
+                conn.sendall(self._payload)
+                conn.settimeout(0.1)
+                while not self._stop.is_set():
+                    try:
+                        if not conn.recv(1 << 16):
+                            break
+                    except socket.timeout:
+                        continue
+                    except OSError:
+                        break
+
+    def close(self) -> None:
+        self._stop.set()
+        self._thread.join(timeout=5)
+        self._listener.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+class StubPoolBackend(WorkerPoolBackend):
+    """In-memory pool: real `WorkerPoolBackend` bookkeeping and the real
+    worker message handler, with a synchronous in-process transport —
+    so the config/phases wire protocol is exercised without processes.
+    """
+
+    name = "stub"
+
+    def __init__(self, workers: int = 2):
+        self.queue_depth = 2
+        self._workers = workers
+        self._executors = [ShardExecutor() for _ in range(workers)]
+        self._replies: list[tuple] = []
+        self.sent: list[tuple[int, tuple]] = []
+        self._init_pool()
+        self._load = [0] * workers
+
+    def _ensure_workers(self) -> None:
+        pass
+
+    def _live_workers(self) -> list[int]:
+        return list(range(self._workers))
+
+    def _worker_slots(self) -> int:
+        return self._workers
+
+    def _send(self, worker: int, message: tuple) -> None:
+        self.sent.append((worker, message))
+        reply = handle_worker_message(self._executors[worker], message)
+        if reply is not None:
+            self._replies.append(reply)
+
+    def poll(self):
+        outcomes = []
+        while self._replies:
+            outcome = self._handle(self._replies.pop(0))
+            if outcome is not None:
+                outcomes.append(outcome)
+        return outcomes
+
+    def wait(self):
+        return self.poll()
+
+    def close(self) -> None:
+        pass
+
+    def terminate(self) -> None:
+        pass
 
 
 def spawn_workers(n: int):

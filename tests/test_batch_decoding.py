@@ -182,12 +182,12 @@ class TestPackedProtocol:
 
     def test_memo_snapshot_and_stats(self):
         memo = SyndromeMemo(limit=8)
-        assert memo.snapshot() == (0, 0, 0, 0)
+        assert memo.snapshot() == (0, 0, 0)
         rows = np.eye(3, dtype=bool)
         decode_batch_dedup(lambda row: int(row.argmax()), rows, memo=memo)
-        assert memo.snapshot() == (0, 3, 3, 0)
+        assert memo.snapshot() == (0, 3, 3)
         assert memo.stats() == {
-            "hits": 0, "misses": 3, "shared_hits": 0, "entries": 3, "limit": 8,
+            "hits": 0, "misses": 3, "entries": 3, "limit": 8,
         }
 
 

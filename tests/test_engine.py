@@ -568,7 +568,8 @@ class TestWorkerPriming:
             run_sweep(spec, backend=backend, shard_shots=64)
         assert backend.shard_messages
         for message in backend.shard_messages:
-            kind, seq, circuit_key, decoder, sampler, shots, seed, epoch = message
+            (kind, seq, circuit_key, decoder, sampler, shots, seed, epoch,
+             offset, parent_shots) = message
             assert kind == "shard"
             assert isinstance(circuit_key, str) and len(circuit_key) == 64
             assert isinstance(decoder, str)

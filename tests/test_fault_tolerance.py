@@ -24,6 +24,7 @@ import pytest
 from fault_helpers import (
     AbortingSerialBackend,
     CountingSerialBackend,
+    FakeWorker,
     FlakyBackend,
     SweepAborted,
     count_shard_lines,
@@ -39,7 +40,15 @@ from repro.engine import (
     SweepSpec,
     run_sweep,
 )
-from repro.engine.remote import RemoteBackend, parse_addr, parse_addrs
+from repro.engine.remote import (
+    _HEADER,
+    _MAX_FRAME,
+    PROTOCOL_VERSION,
+    RemoteBackend,
+    _encode_frame,
+    parse_addr,
+    parse_addrs,
+)
 
 SHOTS = 600
 SHARD = 128
@@ -311,6 +320,83 @@ class TestRemoteBackend:
         with pytest.raises(ConnectionError, match="cannot reach repro-worker"):
             run_sweep(small_spec(distances=(2,)), backend=backend,
                       shard_shots=SHARD)
+
+
+    def test_corrupt_frame_header_kills_worker_not_sweep(
+        self, serial_reference
+    ):
+        # A worker that says hello and then sends a length header over
+        # the frame limit can never be parsed again: the driver must
+        # disown it and rerun its shards on the real worker.  Stealing
+        # is off so only the disowning can rescue those shards.
+        procs, addrs = spawn_workers(1)
+        corrupt = (
+            _encode_frame(("hello", PROTOCOL_VERSION, {"slots": 1}))
+            + _HEADER.pack(_MAX_FRAME + 1)
+        )
+        try:
+            with FakeWorker(corrupt) as fake:
+                def sweep():
+                    with RemoteBackend([fake.addr, addrs[0]]) as backend:
+                        results = run_sweep(
+                            small_spec(), backend=backend,
+                            shard_shots=SHARD, steal=False,
+                        )
+                        return results, backend.pool_health()
+
+                outcome = run_with_timeout(sweep, seconds=60)
+            assert "error" not in outcome, outcome.get("error")
+            results, health = outcome["value"]
+            assert [r.failures for r in results] == serial_reference
+            assert health["crashes"] == 1
+            assert list(health["workers"]) == [addrs[0]]
+        finally:
+            reap_workers(procs)
+
+
+# ----------------------------------------------------------------------
+# One wire protocol: a worker of another version is refused
+# ----------------------------------------------------------------------
+OLD_HELLO = _encode_frame(("hello", 4, {"slots": 1}))
+
+
+class TestProtocolVersion:
+    def test_strict_pool_refuses_other_version(self):
+        with FakeWorker(OLD_HELLO) as fake:
+            backend = RemoteBackend([fake.addr], connect_timeout=5.0)
+            result = run_with_timeout(
+                lambda: run_sweep(small_spec(distances=(2,)),
+                                  backend=backend, shard_shots=SHARD),
+                seconds=30,
+            )
+        error = result.get("error")
+        assert isinstance(error, ConnectionError), result
+        assert f"speaks protocol 4 but this driver speaks protocol " \
+            f"{PROTOCOL_VERSION}" in str(error)
+
+    def test_elastic_pool_skips_other_version(self, serial_reference):
+        procs, addrs = spawn_workers(1)
+        try:
+            with FakeWorker(OLD_HELLO) as fake:
+                def sweep():
+                    with RemoteBackend(
+                        [fake.addr, addrs[0]], elastic=True,
+                        rescan_interval=0.2,
+                    ) as backend:
+                        results = run_sweep(
+                            small_spec(), backend=backend, shard_shots=SHARD
+                        )
+                        return results, backend.pool_health()
+
+                outcome = run_with_timeout(sweep, seconds=60)
+                assert fake.sessions >= 1  # dialed, then refused
+            assert "error" not in outcome, outcome.get("error")
+            results, health = outcome["value"]
+            assert [r.failures for r in results] == serial_reference
+            assert list(health["workers"]) == [addrs[0]]
+            assert health["crashes"] == 0
+        finally:
+            reap_workers(procs)
 
 
 # ----------------------------------------------------------------------

@@ -32,11 +32,14 @@ from repro.engine import (
     SweepSpec,
     run_sweep,
 )
+from repro.engine.cache import dem_to_jsonable
 from repro.engine.runner import (
     Runner,
     Shard,
+    ShardExecutor,
     ShardOutcome,
     compile_design_point,
+    handle_worker_message,
     plan_shards,
     sample_shard,
 )
@@ -117,6 +120,41 @@ class TestShardWindows:
         bogus = Shard(0, 64, shard.seed, offset=100, parent_shots=SHARD)
         with pytest.raises(ValueError, match="outside parent draw"):
             sample_shard(compiled.circuit, decoder, bogus, sampler=sampler)
+
+
+class TestWorkerMessages:
+    def test_replies_have_one_fixed_shape(self, compiled_point):
+        # Whole shards, stolen windows and errors all reply with
+        # (kind, seq, value, elapsed_s, epoch, memo, phases, slot).
+        spec, job, compiled, _decoder, _sampler = compiled_point
+        executor = ShardExecutor()
+        prime = ("prime", "ckt", compiled.text, dem_to_jsonable(compiled.dem),
+                 dem_to_jsonable(compiled.sampling_dem), None, 0)
+        assert handle_worker_message(executor, prime) is None
+        [shard] = plan_shards(SHARD, SHARD, spec.master_seed, job.key)
+
+        def shard_message(seq, shots, offset, parent_shots, key="ckt"):
+            return ("shard", seq, key, job.decoder, "dem", shots,
+                    shard.seed, 0, offset, parent_shots)
+
+        whole = handle_worker_message(executor, shard_message(0, SHARD, 0, None))
+        assert len(whole) == 8 and whole[:2] == ("ok", 0)
+        assert len(whole[5]) == 3  # (hits, misses, size)
+        assert whole[6:] == (None, None)  # telemetry off, single slot
+        half = SHARD // 2
+        windows = [
+            handle_worker_message(
+                executor, shard_message(1 + i, half, i * half, SHARD), slot=1
+            )
+            for i in range(2)
+        ]
+        assert [reply[7] for reply in windows] == [1, 1]
+        assert sum(reply[2] for reply in windows) == whole[2]
+        error = handle_worker_message(
+            executor, shard_message(3, SHARD, 0, None, key="unprimed")
+        )
+        assert len(error) == 8 and error[:2] == ("error", 3)
+        assert "unprimed" in error[2]
 
 
 # ----------------------------------------------------------------------
@@ -344,13 +382,28 @@ class TestElasticPool:
         )
         late_addr = f"127.0.0.1:{free_port()}"
         late: dict = {}
+        listening = threading.Event()
 
         def join_late():
             late["proc"], late["addr"] = spawn_worker(listen=late_addr)
+            listening.set()
+
+        class JoinGated(RecordingRemote):
+            # The joiner's interpreter start-up can outlast the whole
+            # sweep on a loaded host.  Holding back the first outcome
+            # until it listens leaves most shards unsubmitted when the
+            # rescan can first adopt it, however slow the start-up.
+            def _handle(self, message):
+                outcome = super()._handle(message)
+                if outcome is not None and not listening.is_set():
+                    assert listening.wait(timeout=60), (
+                        "late worker never started listening"
+                    )
+                return outcome
 
         joiner = threading.Thread(target=join_late, daemon=True)
         try:
-            with RecordingRemote(
+            with JoinGated(
                 [addr1, late_addr], elastic=True, rescan_interval=0.2
             ) as backend:
                 joiner.start()

@@ -15,8 +15,8 @@ Covers the invariants the observability layer is built on:
   monotonic per-lane timestamps and named worker lanes, and the
   validator actually rejects broken traces;
 - **engine integration** — pool backends ship per-shard phase dicts
-  over the 7-tuple protocol (gated on worker protocol version and the
-  driver's own telemetry switch), pool health aggregates per-worker
+  in their fixed-shape replies (gated on the driver's own telemetry
+  switch), pool health aggregates per-worker
   stats, worker death warns through ``logging``, and a telemetry-on
   sweep produces bit-identical failure counts to a telemetry-off one.
 """
@@ -36,13 +36,7 @@ from repro.engine.progress import (
     format_pool_health,
 )
 from repro.engine.results import ShardRecord
-from repro.engine.runner import (
-    PHASE_ORDER,
-    ShardExecutor,
-    WorkerPoolBackend,
-    handle_worker_message,
-    ordered_phases,
-)
+from repro.engine.runner import PHASE_ORDER, ordered_phases
 from repro.telemetry import (
     DEFAULT_TIME_BUCKETS,
     Histogram,
@@ -52,6 +46,8 @@ from repro.telemetry import (
     write_chrome_trace,
 )
 from repro.telemetry.core import NULL_SPAN
+
+from fault_helpers import StubPoolBackend
 
 
 class FakeClock:
@@ -362,62 +358,6 @@ class TestChromeTrace:
 # ----------------------------------------------------------------------
 # Engine integration: pool protocol, pool health, warnings, determinism
 # ----------------------------------------------------------------------
-class StubPoolBackend(WorkerPoolBackend):
-    """In-memory pool: real `WorkerPoolBackend` bookkeeping and the real
-    worker message handler, with a synchronous in-process transport —
-    so the config/phases wire protocol is exercised without processes.
-    """
-
-    name = "stub"
-
-    def __init__(self, workers: int = 2, protocol: int = 2):
-        self.queue_depth = 2
-        self._workers = workers
-        self._protocol = protocol
-        self._executors = [ShardExecutor() for _ in range(workers)]
-        self._replies: list[tuple] = []
-        self.sent: list[tuple[int, tuple]] = []
-        self._init_pool()
-        self._load = [0] * workers
-
-    def _ensure_workers(self) -> None:
-        pass
-
-    def _live_workers(self) -> list[int]:
-        return list(range(self._workers))
-
-    def _worker_slots(self) -> int:
-        return self._workers
-
-    def _worker_protocol(self, worker: int) -> int:
-        return self._protocol
-
-    def _send(self, worker: int, message: tuple) -> None:
-        self.sent.append((worker, message))
-        reply = handle_worker_message(self._executors[worker], message)
-        if reply is not None:
-            if self._protocol < 2:
-                reply = reply[:6]  # an old worker never appends phases
-            self._replies.append(reply)
-
-    def poll(self):
-        outcomes = []
-        while self._replies:
-            outcome = self._handle(self._replies.pop(0))
-            if outcome is not None:
-                outcomes.append(outcome)
-        return outcomes
-
-    def wait(self):
-        return self.poll()
-
-    def close(self) -> None:
-        pass
-
-    def terminate(self) -> None:
-        pass
-
-
 class TestPoolTelemetryProtocol:
     def test_config_sent_once_per_worker_and_phases_flow(
         self, scoped_registry
@@ -428,8 +368,8 @@ class TestPoolTelemetryProtocol:
         configs = [m for _, m in backend.sent if m[0] == "config"]
         workers_used = {w for w, m in backend.sent if m[0] == "shard"}
         assert configs == [("config", {"telemetry": True})] * len(workers_used)
-        # Shard phases came back over the 7-tuple protocol and were
-        # folded into the job record.
+        # Shard phases came back in the shard replies and were folded
+        # into the job record.
         phases = result.extras["phases"]
         assert set(phases) <= set(PHASE_ORDER)
         assert {"sample", "decode", "other"} <= set(phases)
@@ -459,13 +399,6 @@ class TestPoolTelemetryProtocol:
             for line in (tmp_path / "results.jsonl").read_text().splitlines()
         )
 
-    def test_old_protocol_worker_never_receives_config(self, scoped_registry):
-        telemetry.set_active(Telemetry(enabled=True))
-        backend = StubPoolBackend(workers=2, protocol=1)
-        [result] = run_sweep(small_spec(), backend=backend, shard_shots=64)
-        assert not any(m[0] == "config" for _, m in backend.sent)
-        assert result.failures is not None  # sweep still completes
-
     def test_telemetry_on_off_failure_counts_bit_identical(
         self, scoped_registry
     ):
@@ -488,7 +421,7 @@ class TestPoolTelemetryProtocol:
         backend._dispatch[0] = (0, "job", 64, 0.0)
         backend._load = [1]
         outcome = backend._handle(
-            ("ok", 0, 3, 0.5, 0, (1, 2, 3), {"sample": 0.4})
+            ("ok", 0, 3, 0.5, 0, (1, 2, 3), {"sample": 0.4}, None)
         )
         assert outcome.phases is None
         assert outcome.worker == "stub:0"
