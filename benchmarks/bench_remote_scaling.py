@@ -1,14 +1,19 @@
 """Remote-backend scaling benchmark (BENCH_remote.json).
 
-Two measured points for the multi-slot / work-stealing engine:
+Two measured points for the forked-slot / work-stealing engine:
 
-- **slot scaling** — the same fixed-shot sweep against one socket
-  worker advertising 1 slot and again advertising 4 slots.  The gate
-  is honest about the host: with >= 4 CPU cores the 4-slot worker must
-  deliver >= 2.5x the 1-slot throughput (full mode only); on smaller
-  hosts (or in smoke mode) the decode threads share cores and the gate
-  degrades to "multi-slot is never slower" (>= 0.85x, absorbing timer
-  noise), with the skipped full gate recorded in the JSON.
+- **slot scaling** — the same fixed-shot sweep against
+  ``repro-worker --slots 1`` (one worker process) and again against
+  ``--slots 4`` (four forked worker processes, all four announced
+  addresses in the roster).  The gate is honest about the host: with
+  >= 4 CPU cores the four processes must deliver >= 2.5x the one
+  process's throughput (full mode only); on smaller hosts (or in
+  smoke mode) the worker processes share cores and the gate degrades
+  to "multi-slot is never slower" (>= 0.85x, absorbing timer noise),
+  with the skipped full gate recorded in the JSON.  Each slot count
+  is launched ``SLOT_REPEATS`` times, interleaved, and the gates read
+  the median wall clock: a smoke sweep lasts ~50 ms, most of it
+  driver-side compile whose run-to-run noise alone spans +-30%.
 
 - **straggler steal** — a two-worker pool where one worker sleeps
   before every shard (``--chaos-shard-delay``, so the stall
@@ -23,6 +28,8 @@ ride the same artifact pipeline as the other benchmarks.
 
 import json
 import os
+import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -40,40 +47,51 @@ SRC_DIR = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, "src")
 )
 
-SLOT_FULL_GATE = 2.5     # 4-slot vs 1-slot throughput, >= 4 cores, full mode
+SLOT_FULL_GATE = 2.5     # --slots 4 vs --slots 1 throughput, >= 4 cores, full mode
 SLOT_SMOKE_GATE = 0.85   # multi-slot must never be (meaningfully) slower
+SLOT_REPEATS = 5         # fresh launches per slot count; gates read the median
 STRAGGLER_DELAY_S = 1.25
 
 ENGINE_CACHE = CompilationCache()
 
 
-def _spawn_worker(*extra_args: str):
-    """One repro-worker subprocess on a free port -> (proc, addr)."""
+def _spawn_worker(*extra_args: str, slots: int = 1):
+    """``repro-worker --slots <slots>`` on free ports -> (proc, addrs),
+    one announced address per forked worker process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.engine.remote",
-         "--listen", "127.0.0.1:0", *extra_args],
+         "--listen", "127.0.0.1:0", "--slots", str(slots), *extra_args],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        env=env, text=True,
+        env=env, text=True, start_new_session=True,
     )
-    line = proc.stdout.readline().strip()
     prefix = "repro-worker listening on "
-    if not line.startswith(prefix):
-        proc.kill()
-        proc.wait()
-        raise RuntimeError(f"worker failed to start: {line!r}")
-    return proc, line[len(prefix):]
+    addrs = []
+    for _ in range(slots):
+        line = proc.stdout.readline().strip()
+        if not line.startswith(prefix):
+            _reap([proc])
+            raise RuntimeError(f"worker failed to start: {line!r}")
+        addrs.append(line[len(prefix):])
+    return proc, addrs
 
 
 def _reap(procs) -> None:
+    """Wait for each launcher, then SIGKILL what is left of its process
+    group (the launcher and its forked workers)."""
     for proc in procs:
         if proc.poll() is None:
             try:
                 proc.wait(timeout=15)
             except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+                pass
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except OSError:
+            pass  # the whole group is already gone
+        proc.wait()
+        proc.stdout.close()
 
 
 def _spec(shots: int, **overrides) -> SweepSpec:
@@ -84,13 +102,14 @@ def _spec(shots: int, **overrides) -> SweepSpec:
 
 
 # ----------------------------------------------------------------------
-# Point 1: 1-slot vs 4-slot single-worker throughput
+# Point 1: --slots 1 vs --slots 4 throughput
 # ----------------------------------------------------------------------
 def _timed_sweep(backend, shots: int, shard_shots: int, **runner_kw):
     """Wall clock + failures of one sweep against ``backend``, after a
-    small warmup sweep that pays the one-off worker priming (circuit
-    transfer, DEM build, decoder construction) outside the timed run."""
-    run_sweep(_spec(shots=2 * shard_shots), backend=backend,
+    warmup sweep of one shard per worker that pays the one-off worker
+    priming (circuit transfer, DEM build, decoder construction)
+    outside the timed run."""
+    run_sweep(_spec(shots=len(backend.addrs) * shard_shots), backend=backend,
               shard_shots=shard_shots, cache=ENGINE_CACHE)
     runner = Runner(_spec(shots=shots), backend=backend,
                     shard_shots=shard_shots, cache=ENGINE_CACHE, **runner_kw)
@@ -100,19 +119,38 @@ def _timed_sweep(backend, shots: int, shard_shots: int, **runner_kw):
     return wall_s, [r.failures for r in results], runner.steal_stats
 
 
-def _slot_point(slots: int, shots: int, shard_shots: int) -> dict:
-    proc, addr = _spawn_worker("--slots", str(slots))
+def _slot_run(slots: int, shots: int, shard_shots: int):
+    """One fresh ``--slots`` launch: (wall_s, failures)."""
+    proc, addrs = _spawn_worker(slots=slots)
     try:
-        with RemoteBackend([addr]) as backend:
+        with RemoteBackend(addrs) as backend:
             wall_s, failures, _ = _timed_sweep(backend, shots, shard_shots)
     finally:
         _reap([proc])
-    return {
-        "slots": slots,
-        "wall_s": round(wall_s, 4),
-        "shots_per_s": round(shots / wall_s, 1),
-        "failures": failures,
-    }
+    return wall_s, failures
+
+
+def _slot_points(shots: int, shard_shots: int) -> list[dict]:
+    """``--slots 1`` and ``--slots 4`` points, each the median of
+    ``SLOT_REPEATS`` interleaved launches."""
+    runs = {1: [], 4: []}
+    for _ in range(SLOT_REPEATS):
+        for slots, samples in runs.items():
+            samples.append(_slot_run(slots, shots, shard_shots))
+    points = []
+    for slots, samples in runs.items():
+        walls = [wall_s for wall_s, _ in samples]
+        failures = samples[0][1]
+        assert all(f == failures for _, f in samples)
+        wall_s = statistics.median(walls)
+        points.append({
+            "slots": slots,
+            "wall_s": round(wall_s, 4),
+            "wall_s_runs": [round(w, 4) for w in walls],
+            "shots_per_s": round(shots / wall_s, 1),
+            "failures": failures,
+        })
+    return points
 
 
 # ----------------------------------------------------------------------
@@ -122,12 +160,12 @@ def _straggler_point(steal: bool, shots: int, shard_shots: int) -> dict:
     # The fast worker is listed first so load-rank ties favour it and
     # stolen windows drain onto it rather than queueing behind the
     # straggler's sleep.
-    fast_proc, fast_addr = _spawn_worker()
-    slow_proc, slow_addr = _spawn_worker(
+    fast_proc, fast_addrs = _spawn_worker()
+    slow_proc, slow_addrs = _spawn_worker(
         "--chaos-shard-delay", str(STRAGGLER_DELAY_S)
     )
     try:
-        with RemoteBackend([fast_addr, slow_addr]) as backend:
+        with RemoteBackend(fast_addrs + slow_addrs) as backend:
             wall_s, failures, steals = _timed_sweep(
                 backend, shots, shard_shots,
                 steal=steal, steal_min_shots=shard_shots // 2,
@@ -147,15 +185,14 @@ def test_remote_scaling():
     shots = 2048 if smoke() else 16384
     shard_shots = 256
 
-    one = _slot_point(1, shots, shard_shots)
-    four = _slot_point(4, shots, shard_shots)
+    one, four = _slot_points(shots, shard_shots)
     speedup = four["shots_per_s"] / one["shots_per_s"]
     full_gate_checked = not smoke() and cores >= 4
     full_gate_skip_reason = (
         None if full_gate_checked else (
-            f"os.cpu_count()={cores} < 4: the decode threads share "
-            "cores, so the 4-slot speedup gate cannot be meaningful "
-            "on this host" if cores < 4
+            f"os.cpu_count()={cores} < 4: the forked worker processes "
+            "share cores, so the 4-slot speedup gate cannot be "
+            "meaningful on this host" if cores < 4
             else "smoke mode: shrunken workload, full gate skipped"
         )
     )
@@ -174,7 +211,8 @@ def test_remote_scaling():
 
     publish("bench_remote_scaling", "\n".join([
         f"host cores: {cores}  mode: {'smoke' if smoke() else 'full'}",
-        f"slot scaling ({shots} shots, shard {shard_shots}):",
+        f"slot scaling ({shots} shots, shard {shard_shots}, "
+        f"median of {SLOT_REPEATS}):",
         f"  1-slot: {one['wall_s']:.2f}s  {one['shots_per_s']:>9,.0f} shots/s",
         f"  4-slot: {four['wall_s']:.2f}s  {four['shots_per_s']:>9,.0f} shots/s"
         f"  -> {speedup:.2f}x",
@@ -199,6 +237,7 @@ def test_remote_scaling():
         "slot_scaling": {
             "shots": shots,
             "shard_shots": shard_shots,
+            "repeats": SLOT_REPEATS,
             "one_slot": one,
             "four_slot": four,
             "speedup": round(speedup, 3),
@@ -222,8 +261,8 @@ def test_remote_scaling():
         fh.write("\n")
 
     # --- gates --------------------------------------------------------
-    # Multi-slot decode must never cost throughput, and bit-identity
-    # must hold across slot counts.
+    # Forked slots must never cost throughput, and bit-identity must
+    # hold across slot counts.
     assert four["failures"] == one["failures"]
     assert speedup >= SLOT_SMOKE_GATE, (
         f"4-slot worker slower than 1-slot: {speedup:.2f}x"

@@ -55,9 +55,8 @@ DEFAULT_MEMO_LIMIT = 1 << 18
 class SyndromeMemo:
     """Bounded ``packed syndrome -> correction mask`` memo with stats.
 
-    One memo serves one (circuit, decoder) pair within one process —
-    a multi-slot worker's threads share it; separate workers never
-    exchange entries.
+    One memo serves one (circuit, decoder) pair within one process;
+    separate workers never exchange entries.
     """
 
     def __init__(self, limit: int = DEFAULT_MEMO_LIMIT):

@@ -171,11 +171,6 @@ def format_pool_health(pool: dict) -> str:
             f"{label} {stats.get('shards', 0)} shard(s) "
             f"busy {stats.get('busy_s', 0.0):.1f}s"
         )
-        slots = stats.get("slots", 1)
-        if slots > 1 or "busy_slots" in stats:
-            # Slot occupancy: how many of the worker's concurrency
-            # lanes hold an in-flight shard right now.
-            fragment += f" slots {stats.get('busy_slots', 0)}/{slots}"
         inflight = stats.get("inflight", 0)
         if inflight:
             fragment += f" +{inflight} inflight"

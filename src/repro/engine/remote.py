@@ -12,12 +12,17 @@ worker; only the transport differs.
 Launch workers anywhere the driver can reach::
 
     repro-worker --listen 0.0.0.0:7930            # or: python -m repro.engine.remote
-    repro-worker --listen 0.0.0.0:7931
+    repro-worker --listen 0.0.0.0:7931 --slots 2  # forks workers on 7931, 7932
 
-then point a sweep at them::
+then point a sweep at every announced address::
 
     python -m repro.toolflow.cli sweep --distances 3 5 --shots 20000 \
-        --backend remote --workers-addr host1:7930,host1:7931
+        --backend remote --workers-addr host1:7930,host1:7931,host1:7932
+
+A worker runs one shard at a time.  ``--slots N`` fills a multi-core
+host with N of them: the launcher binds N listeners, announces each,
+and forks one single-slot worker per listener, so the driver sees N
+ordinary workers, one address each.
 
 Fault tolerance: a worker that dies mid-sweep (crash, SIGKILL, network
 partition — anything that closes or breaks the socket) is disowned;
@@ -38,14 +43,13 @@ import argparse
 import logging
 import os
 import pickle
-import queue as queue_module
 import selectors
+import signal
 import socket
 import struct
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 
 from ..telemetry import configure as configure_telemetry
 from .runner import (
@@ -59,19 +63,23 @@ from .runner import (
 
 logger = logging.getLogger(__name__)
 
-# The worker opens every session with ``("hello", PROTOCOL_VERSION,
-# {"slots": N})``; the driver then sends the messages of
+# The worker opens every session with ``("hello", PROTOCOL_VERSION)``;
+# the driver then sends the messages of
 # :func:`~repro.engine.runner.handle_worker_message` (prime, dmat,
 # config, shard, stop) and reads its fixed-shape replies.  Driver and
 # worker ship in one package, so there is exactly one message format:
 # a driver refuses a worker whose hello names any other version
 # (bump the number whenever a message shape changes).
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 _HEADER = struct.Struct(">I")
 # A frame is bounded by the largest prime payload (two DEM JSONs plus
 # the all-pairs distance matrices) — far below this, but cap it so a
 # corrupt/hostile header cannot trigger a giant allocation.
 _MAX_FRAME = 1 << 31
+_MAX_PORT = 65535
+# How often a forked worker idle in ``accept`` checks that its launcher
+# is still alive (a worker must never outlive its launcher).
+_ORPHAN_CHECK_S = 0.25
 
 
 def _encode_frame(message) -> bytes:
@@ -80,10 +88,13 @@ def _encode_frame(message) -> bytes:
 
 
 def parse_addr(addr: str) -> tuple[str, int]:
-    """``"host:port"`` -> ``(host, port)``."""
+    """``"host:port"`` -> ``(host, port)``; the port must be 0-65535."""
     host, sep, port = addr.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"worker address {addr!r} is not host:port")
+    if not sep or not host or not port.isdigit() or int(port) > _MAX_PORT:
+        raise ValueError(
+            f"worker address {addr!r} is not host:port "
+            f"(port 0-{_MAX_PORT})"
+        )
     return host, int(port)
 
 
@@ -131,127 +142,140 @@ def _recv_frame(sock: socket.socket):
     return pickle.loads(payload)
 
 
-def _serve_connection(conn: socket.socket, slots: int = 1,
+def _serve_connection(conn: socket.socket,
                       chaos_shard_delay: float = 0.0) -> None:
     """One driver session: hello, then prime/dmat/shard until stop/EOF.
 
     Executor state is per-connection — a new driver always reprimes,
     so stale circuits can never leak between sweeps.
-
-    With ``slots > 1`` the session runs shards concurrently on a
-    thread pool of that width: prime / dmat / config messages
-    are still applied inline on the receive thread (so a shard never
-    races the prime it depends on), only shard messages fan out.
     ``chaos_shard_delay`` sleeps that long before each shard — a fault-
     injection knob for forcing straggler shards in tests/benchmarks.
     """
-    slots = max(1, int(slots))
-    conn.sendall(
-        _encode_frame(("hello", PROTOCOL_VERSION, {"slots": slots}))
-    )
+    conn.sendall(_encode_frame(("hello", PROTOCOL_VERSION)))
     # Telemetry is per-driver state: a serve-forever worker must not
     # carry the previous driver's setting into the next session.
     configure_telemetry(enabled=False)
-    executor = ShardExecutor(slots=slots)
-    if slots == 1:
-        while True:
-            message = _recv_frame(conn)
-            if message is None or message[0] == "stop":
-                return
-            if chaos_shard_delay and message[0] == "shard":
-                time.sleep(chaos_shard_delay)
-            reply = handle_worker_message(executor, message)
-            if reply is not None:
-                conn.sendall(_encode_frame(reply))
-    _serve_multislot(conn, executor, slots, chaos_shard_delay)
-
-
-def _serve_multislot(conn: socket.socket, executor: ShardExecutor,
-                     slots: int, chaos_shard_delay: float) -> None:
-    """Concurrent shard execution for one multi-slot session.
-
-    Exactly ``slots`` pool threads each claim a slot id from a free
-    queue for the duration of one shard, so the slot in a reply names
-    which concurrency lane ran it (the driver turns it into per-slot
-    telemetry lanes).  Replies are serialised by a send lock.
-    """
-    send_lock = threading.Lock()
-    free_slots: queue_module.Queue = queue_module.Queue()
-    for slot in range(slots):
-        free_slots.put(slot)
-
-    def send(reply) -> None:
-        frame = _encode_frame(reply)
-        with send_lock:
-            conn.sendall(frame)
-
-    def run_shard(message) -> None:
-        slot = free_slots.get()
-        try:
-            if chaos_shard_delay:
-                time.sleep(chaos_shard_delay)
-            reply = handle_worker_message(executor, message, slot=slot)
-        finally:
-            free_slots.put(slot)
-        if reply is None:
+    executor = ShardExecutor()
+    while True:
+        message = _recv_frame(conn)
+        if message is None or message[0] == "stop":
             return
-        try:
-            send(reply)
-        except OSError:
-            pass  # driver vanished: the recv loop notices the EOF
-
-    pool = ThreadPoolExecutor(
-        max_workers=slots, thread_name_prefix="repro-slot"
-    )
-    try:
-        while True:
-            message = _recv_frame(conn)
-            if message is None or message[0] == "stop":
-                return
-            if message[0] == "shard":
-                pool.submit(run_shard, message)
-            else:
-                reply = handle_worker_message(executor, message)
-                if reply is not None:
-                    send(reply)
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        if chaos_shard_delay and message[0] == "shard":
+            time.sleep(chaos_shard_delay)
+        reply = handle_worker_message(executor, message)
+        if reply is not None:
+            conn.sendall(_encode_frame(reply))
 
 
-def serve(listen: str = "127.0.0.1:0", *, serve_forever: bool = False,
-          slots: int = 1, chaos_shard_delay: float = 0.0,
-          stream=None) -> None:
-    """Run a shard worker: listen, announce the bound address, serve.
+def _accept_loop(listener: socket.socket, *, serve_forever: bool,
+                 chaos_shard_delay: float, launcher: int | None = None,
+                 ) -> None:
+    """Serve drivers on one listener, one session at a time.
 
-    Announces ``repro-worker listening on host:port`` on ``stream``
-    (default stdout) so launchers using port 0 can discover the bound
-    port.  By default the worker exits when its driver disconnects —
-    the right lifetime for job scripts and CI; ``serve_forever`` keeps
-    it accepting one driver after another (a long-lived pool node).
-    ``slots`` shards run concurrently per session (see
-    :func:`_serve_connection`).
+    A forked worker passes its ``launcher`` pid: while idle it polls
+    its parent pid and returns once the launcher is gone, so even a
+    SIGKILLed launcher leaves no worker behind (a worker orphaned
+    mid-session finishes that driver's session first).
     """
-    stream = stream if stream is not None else sys.stdout
-    host, port = parse_addr(listen)
-    with socket.create_server((host, port)) as listener:
+    if launcher is not None:
+        listener.settimeout(_ORPHAN_CHECK_S)
+    while True:
+        try:
+            conn, _peer = listener.accept()
+        except TimeoutError:
+            if os.getppid() != launcher:
+                return
+            continue
+        try:
+            with conn:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                _serve_connection(conn, chaos_shard_delay=chaos_shard_delay)
+        except (OSError, pickle.UnpicklingError, EOFError):
+            pass  # driver vanished mid-frame: drop the session
+        if not serve_forever:
+            return
+
+
+def bind_listeners(host: str, port: int, count: int) -> list[socket.socket]:
+    """Bind ``count`` listeners on ``port, port+1, ...`` — or each on a
+    free port when ``port`` is 0.  All or nothing: a failed bind closes
+    the listeners bound so far and re-raises."""
+    listeners: list[socket.socket] = []
+    try:
+        for i in range(count):
+            listeners.append(
+                socket.create_server((host, port + i if port else 0))
+            )
+    except OSError:
+        for listener in listeners:
+            listener.close()
+        raise
+    return listeners
+
+
+def serve(listeners: list[socket.socket], *, serve_forever: bool = False,
+          chaos_shard_delay: float = 0.0) -> None:
+    """Run one shard worker per bound listener.
+
+    Announces ``repro-worker listening on host:port`` per listener on
+    stdout, so launchers using port 0 can discover the bound ports.
+    One listener is served in this process; several are served by one
+    forked child each, while this process only waits for them (and
+    terminates any still running if it is interrupted).  Call it from
+    a process that runs no threads: forking one that does is unsafe.
+    By default a worker exits when its driver disconnects — the right
+    lifetime for job scripts and CI; ``serve_forever`` keeps it
+    accepting one driver after another (a long-lived pool node).
+    """
+    for listener in listeners:
         bound_host, bound_port = listener.getsockname()[:2]
         print(f"repro-worker listening on {bound_host}:{bound_port}",
-              file=stream, flush=True)
-        if slots > 1:
-            print(f"repro-worker slots: {slots}", file=stream, flush=True)
-        while True:
-            conn, _peer = listener.accept()
+              flush=True)
+    serve_kw = dict(serve_forever=serve_forever,
+                    chaos_shard_delay=chaos_shard_delay)
+    if len(listeners) == 1:
+        with listeners[0]:
+            _accept_loop(listeners[0], **serve_kw)
+        return
+    launcher = os.getpid()
+    children = []
+    try:
+        for mine in listeners:
+            pid = os.fork()
+            if pid == 0:
+                _run_child(mine, listeners, launcher, serve_kw)
+            children.append(pid)
+        for listener in listeners:
+            listener.close()
+        while children:
+            os.waitpid(children[0], 0)
+            children.pop(0)
+    finally:
+        for pid in children:
             try:
-                with conn:
-                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    _serve_connection(
-                        conn, slots=slots,
-                        chaos_shard_delay=chaos_shard_delay,
-                    )
-            except (OSError, pickle.UnpicklingError, EOFError):
-                pass  # driver vanished mid-frame: drop the session
-            if not serve_forever:
-                return
+                os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
+            except OSError:
+                pass  # already gone
+
+
+def _run_child(mine, listeners, launcher: int, serve_kw: dict) -> None:
+    """A forked worker's whole life: serve ``mine``, then ``_exit`` —
+    never unwind into the launcher's stack."""
+    code = 0
+    try:
+        for listener in listeners:
+            if listener is not mine:
+                listener.close()
+        with mine:
+            _accept_loop(mine, launcher=launcher, **serve_kw)
+    except KeyboardInterrupt:
+        code = 130
+    except BaseException:
+        traceback.print_exc()
+        code = 1
+    finally:
+        os._exit(code)
 
 
 def main(argv=None) -> int:
@@ -273,8 +297,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--slots", default="1", metavar="N|auto",
-        help="concurrent shard slots to advertise and run ('auto' = "
-             "one per CPU core; default %(default)s)",
+        help="fork N single-slot workers on ports PORT..PORT+N-1 (or N "
+             "free ports with port 0), each announced on its own line "
+             "('auto' = one per CPU core; default %(default)s)",
     )
     parser.add_argument(
         "--chaos-shard-delay", type=float, default=0.0, metavar="SECONDS",
@@ -282,15 +307,34 @@ def main(argv=None) -> int:
              "for forcing straggler shards; default off)",
     )
     args = parser.parse_args(argv)
+    try:
+        host, port = parse_addr(args.listen)
+    except ValueError as exc:
+        parser.error(f"--listen: {exc}")
     if args.slots == "auto":
         slots = os.cpu_count() or 1
-    else:
+    elif args.slots.isdigit():
         slots = int(args.slots)
+    else:
+        slots = 0
     if slots < 1:
-        parser.error("--slots must be >= 1 (or 'auto')")
+        parser.error(f"--slots must be a positive integer or 'auto', "
+                     f"not {args.slots!r}")
+    if port and port + slots - 1 > _MAX_PORT:
+        parser.error(f"--slots {slots} from port {port} runs past port "
+                     f"{_MAX_PORT}")
+    if slots > 1 and not hasattr(os, "fork"):
+        parser.error("--slots above 1 needs os.fork, which this platform "
+                     "lacks")
+    try:
+        listeners = bind_listeners(host, port, slots)
+    except OSError as exc:
+        print(f"repro-worker: cannot listen on {args.listen}: {exc}",
+              file=sys.stderr)
+        return 1
     try:
         serve(
-            args.listen, serve_forever=args.serve_forever, slots=slots,
+            listeners, serve_forever=args.serve_forever,
             chaos_shard_delay=args.chaos_shard_delay,
         )
     except KeyboardInterrupt:
@@ -305,8 +349,8 @@ class _Connection:
     """Driver-side state of one worker link."""
 
     __slots__ = (
-        "addr", "sock", "buffer", "alive", "slots", "outbox",
-        "outbox_since", "interest",
+        "addr", "sock", "buffer", "alive", "outbox", "outbox_since",
+        "interest",
     )
 
     def __init__(self, addr: tuple[str, int], sock: socket.socket):
@@ -314,7 +358,6 @@ class _Connection:
         self.sock = sock
         self.buffer = bytearray()
         self.alive = True
-        self.slots = 1  # concurrent shard lanes (from the hello)
         # Frames queued behind a full socket buffer, flushed by the
         # event loop as the socket turns writable; ``outbox_since``
         # timestamps the last flush progress so a wedged worker
@@ -401,15 +444,10 @@ class RemoteBackend(WorkerPoolBackend):
             }
         }
 
-    def _worker_slots(self) -> int:
+    def _live_worker_count(self) -> int:
         if not self._conns:
             return len(self.addrs)
-        return sum(conn.slots for conn in self._conns if conn.alive)
-
-    def _worker_slot_count(self, worker: int) -> int:
-        if worker < len(self._conns):
-            return self._conns[worker].slots
-        return 1
+        return len(self._live_workers())
 
     def _live_workers(self) -> list[int]:
         return [w for w, conn in enumerate(self._conns) if conn.alive]
@@ -441,7 +479,6 @@ class RemoteBackend(WorkerPoolBackend):
                 f"{PROTOCOL_VERSION} — run the same repro version on "
                 "driver and workers"
             )
-        conn.slots = max(1, int(hello[2]["slots"]))
         sock.settimeout(None)
         sock.setblocking(False)
         return conn
@@ -497,10 +534,7 @@ class RemoteBackend(WorkerPoolBackend):
             except ConnectionError:
                 continue
             self._adopt(conn)
-            logger.info(
-                "elastic pool: worker %s joined with %d slot(s)",
-                conn.label, conn.slots,
-            )
+            logger.info("elastic pool: worker %s joined", conn.label)
 
     def _update_interest(self, worker: int) -> None:
         """Sync one connection's selector registration with its state

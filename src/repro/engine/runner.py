@@ -44,7 +44,6 @@ import multiprocessing
 import os
 import queue as queue_module
 import signal
-import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -55,7 +54,6 @@ from ..arch.wiring import wiring_by_name
 from ..codes import make_code
 from ..core.compiler import CompilerConfig, QccdCompiler
 from ..core.stim_export import program_to_circuit
-from ..decoders.batch import SyndromeMemo
 from ..decoders.graph import DetectorGraph
 from ..ler.estimator import make_decoder
 from ..noise.parameters import DEFAULT_NOISE, NoiseParameters
@@ -322,44 +320,17 @@ class ShardExecutor:
     samplers built from them (lazily, at most once per circuit).
     Shared by the multiprocessing worker loop and the socket worker
     (``repro-worker``): both feed it the same prime / dmat / shard
-    messages and differ only in transport.
-
-    A multi-slot worker runs ``run()`` concurrently from ``slots``
-    threads.  Decoders are keyed per slot — MWPM/union-find instances
-    hold mutable per-decode scratch — while the syndrome memo and the
-    DEM sampler are shared across slots per circuit (the memo *is* the
-    dedupe; the sampler is stateless per call).  The memo never leaves
-    the worker: each worker decodes its own first sightings.
-    Construction of
-    decoders and samplers is serialized by ``_build_lock`` because
-    building mutates shared lazy caches on the detector graph.
+    messages and differ only in transport.  Every worker process runs
+    one shard at a time, so each (circuit, decoder) pair has exactly
+    one decoder, which owns its syndrome memo; the memo never leaves
+    the worker.
     """
 
-    def __init__(self, slots: int = 1):
-        self.slots = max(1, int(slots))
+    def __init__(self):
         self._circuits: dict[str, tuple] = {}
-        # (circuit_key, decoder_name, slot) -> decoder instance.
-        self._decoders: dict[tuple[str, str, int], object] = {}
-        # (circuit_key, decoder_name) -> memo shared by every slot's
-        # decoder of that pair (cross-slot dedupe for free).
-        self._memos: dict[tuple[str, str], object] = {}
+        # (circuit_key, decoder_name) -> decoder instance (and its memo).
+        self._decoders: dict[tuple[str, str], object] = {}
         self._samplers: dict[str, DemSampler] = {}
-        self._build_lock = threading.RLock()
-
-    def _decoder_for(self, circuit_key, decoder_name, graph, slot: int = 0):
-        key = (circuit_key, decoder_name, slot)
-        decoder = self._decoders.get(key)
-        if decoder is None:
-            with self._build_lock:
-                decoder = self._decoders.get(key)
-                if decoder is None:
-                    decoder = make_decoder(graph, decoder_name)
-                    # Every slot's decoder of this pair shares one memo.
-                    decoder._memo = self._memos.setdefault(
-                        (circuit_key, decoder_name), SyndromeMemo()
-                    )
-                    self._decoders[key] = decoder
-        return decoder
 
     def prime(self, circuit_key, circuit_text, dem_data, sdem_data, dmat) -> None:
         circuit = circuit_from_text(circuit_text)
@@ -374,10 +345,7 @@ class ShardExecutor:
         # Late distance-matrix delivery: the circuit was primed by a
         # non-MWPM shard, and an MWPM shard is now on its way.
         entry = self._circuits.get(circuit_key)
-        built = any(
-            key[0] == circuit_key and key[1] == "mwpm" for key in self._decoders
-        )
-        if entry is not None and not built:
+        if entry is not None and (circuit_key, "mwpm") not in self._decoders:
             try:
                 entry[1].set_shortest_paths(*dmat)
             except ValueError:
@@ -385,7 +353,7 @@ class ShardExecutor:
 
     def run(
         self, circuit_key, decoder_name, sampler_name, shots, seed,
-        offset: int = 0, parent_shots: int | None = None, slot: int = 0,
+        offset: int = 0, parent_shots: int | None = None,
     ):
         """Sample one shard; returns ``(failures, memo_stats, phases)``."""
         entry = self._circuits.get(circuit_key)
@@ -395,18 +363,15 @@ class ShardExecutor:
                 "priming protocol violated"
             )
         circuit, graph, sampling_dem = entry
-        decoder = self._decoder_for(
-            circuit_key, decoder_name, graph, slot % self.slots
-        )
+        decoder = self._decoders.get((circuit_key, decoder_name))
+        if decoder is None:
+            decoder = make_decoder(graph, decoder_name)
+            self._decoders[(circuit_key, decoder_name)] = decoder
         sampler = None
         if sampler_name == "dem":
             sampler = self._samplers.get(circuit_key)
             if sampler is None:
-                with self._build_lock:
-                    sampler = self._samplers.get(circuit_key)
-                    if sampler is None:
-                        sampler = DemSampler(sampling_dem)
-                        self._samplers[circuit_key] = sampler
+                sampler = self._samplers[circuit_key] = DemSampler(sampling_dem)
         return sample_shard(
             circuit, decoder,
             Shard(0, shots, seed, offset=offset, parent_shots=parent_shots),
@@ -414,9 +379,7 @@ class ShardExecutor:
         )
 
 
-def handle_worker_message(
-    executor: ShardExecutor, message: tuple, slot: int | None = None
-):
+def handle_worker_message(executor: ShardExecutor, message: tuple):
     """Process one driver message; returns the reply tuple or ``None``.
 
     The request/reply state machine shared by both worker transports:
@@ -429,12 +392,11 @@ def handle_worker_message(
     sampler, shots, seed, epoch, offset, parent_shots)``;
     ``parent_shots`` is ``None`` for a whole planned shard and set for
     a stolen *window* of one.  Every reply has one shape,
-    ``(kind, seq, value, elapsed_s, epoch, memo, phases, slot)``:
-    ``kind`` is ``"ok"`` (``value`` = failures, ``memo`` = the shard's
+    ``(kind, seq, value, elapsed_s, epoch, memo, phases)``: ``kind``
+    is ``"ok"`` (``value`` = failures, ``memo`` = the shard's
     ``(hits, misses, size)``) or ``"error"`` (``value`` = traceback,
     ``memo`` = ``None``); ``phases`` is the per-phase seconds dict or
-    ``None`` with telemetry off; ``slot`` names which lane of a
-    multi-slot worker ran the shard, ``None`` for a single-slot worker.
+    ``None`` with telemetry off.
     """
     kind = message[0]
     if kind == "prime":
@@ -443,7 +405,7 @@ def handle_worker_message(
             executor.prime(circuit_key, circuit_text, dem_data, sdem_data, dmat)
         except BaseException:
             return ("error", None, traceback.format_exc(), 0.0, epoch,
-                    None, None, slot)
+                    None, None)
         return None
     if kind == "dmat":
         _, circuit_key, dmat, epoch = message
@@ -463,13 +425,11 @@ def handle_worker_message(
         failures, memo, phases = executor.run(
             circuit_key, decoder_name, sampler_name, shots, seed,
             offset=offset, parent_shots=parent_shots,
-            slot=0 if slot is None else slot,
         )
         elapsed = time.perf_counter() - t0
-        return ("ok", seq, failures, elapsed, epoch, memo, phases, slot)
+        return ("ok", seq, failures, elapsed, epoch, memo, phases)
     except BaseException:
-        return ("error", seq, traceback.format_exc(), 0.0, epoch,
-                None, None, slot)
+        return ("error", seq, traceback.format_exc(), 0.0, epoch, None, None)
 
 
 def _worker_main(task_queue, result_queue) -> None:
@@ -509,7 +469,7 @@ class WorkerPoolBackend:
 
     Subclasses provide the transport: ``_ensure_workers`` (start /
     connect the pool), ``_live_workers`` (surviving worker indices),
-    ``_worker_slots`` (pool size for the capacity hint) and ``_send``
+    ``_live_worker_count`` (pool size for the capacity hint) and ``_send``
     (deliver one message, raising :class:`_WorkerDied` after disowning
     a worker that cannot receive it).
     """
@@ -553,15 +513,10 @@ class WorkerPoolBackend:
     def _live_workers(self) -> list[int]:
         raise NotImplementedError
 
-    def _worker_slots(self) -> int:
-        """Total concurrent-shard slots across live workers (the
-        capacity hint).  One per worker unless the transport learns
-        otherwise (socket workers advertise theirs in the hello)."""
+    def _live_worker_count(self) -> int:
+        """Live workers (the capacity hint); before the pool starts,
+        the number it will start with."""
         raise NotImplementedError
-
-    def _worker_slot_count(self, worker: int) -> int:
-        """Concurrent-shard slots of one worker (1 unless advertised)."""
-        return 1
 
     def _send(self, worker: int, message: tuple) -> None:
         raise NotImplementedError
@@ -574,10 +529,10 @@ class WorkerPoolBackend:
     # ------------------------------------------------------------------
     @property
     def capacity(self) -> int:
-        """Tasks the backend wants in flight: a small per-slot queue
-        keeps every worker slot busy without hoarding shards an
-        adaptive job may never need.  Shrinks as workers die."""
-        return max(1, self._worker_slots()) * self.queue_depth
+        """Tasks the backend wants in flight: a small per-worker queue
+        keeps every worker busy without hoarding shards an adaptive
+        job may never need.  Shrinks as workers die."""
+        return max(1, self._live_worker_count()) * self.queue_depth
 
     def supports_windows(self) -> bool:
         """Every pool worker runs windowed (stolen) sub-shards — the
@@ -705,16 +660,13 @@ class WorkerPoolBackend:
         )
 
     def _pick_worker(self, circuit_key: str, live: list[int]) -> int:
-        """Least-loaded live worker — load normalized by slot count, so
-        a 4-slot worker looks as busy with 4 shards in flight as a
-        1-slot worker with one; among ties, prefer one already primed
-        for this circuit so priming traffic stays minimal."""
+        """Least-loaded live worker; among ties, prefer one already
+        primed for this circuit so priming traffic stays minimal."""
         best = live[0]
         best_rank = None
         for worker in live:
             primed = (worker, circuit_key) in self._primed
-            slots = max(1, self._worker_slot_count(worker))
-            rank = (self._load[worker] / slots, not primed)
+            rank = (self._load[worker], not primed)
             if best_rank is None or rank < best_rank:
                 best, best_rank = worker, rank
         return best
@@ -752,7 +704,7 @@ class WorkerPoolBackend:
         return lost
 
     def _handle(self, message) -> ShardOutcome | None:
-        kind, seq, value, elapsed_s, epoch, memo, phases, slot = message
+        kind, seq, value, elapsed_s, epoch, memo, phases = message
         # A worker left enabled by an earlier driver must not leak
         # phases into a telemetry-off run, so gate on our own setting.
         if not active_telemetry().enabled:
@@ -775,12 +727,9 @@ class WorkerPoolBackend:
             raise RuntimeError(f"worker shard failed:\n{value}")
         if dispatched is None:
             raise RuntimeError(f"result for unknown shard task {seq}")
-        label = self._worker_label(worker)
-        if slot is not None:
-            label = f"{label}#s{int(slot)}"
         return ShardOutcome(
             seq, job_key, shots, int(value), float(elapsed_s), *memo,
-            phases=phases, worker=label,
+            phases=phases, worker=self._worker_label(worker),
         )
 
     def _record_result_stats(
@@ -809,15 +758,13 @@ class WorkerPoolBackend:
         workers = {}
         for worker in sorted(self._wstats):
             stats = self._wstats[worker]
-            inflight = self._load[worker] if worker < len(self._load) else 0
-            slots = max(1, self._worker_slot_count(worker))
             workers[self._worker_label(worker)] = {
                 "shards": stats["shards"],
                 "busy_s": stats["busy_s"],
                 "overhead_s": stats["overhead_s"],
-                "inflight": inflight,
-                "slots": slots,
-                "busy_slots": min(inflight, slots),
+                "inflight": (
+                    self._load[worker] if worker < len(self._load) else 0
+                ),
                 "heartbeat_age_s": now - stats["last_heard"],
             }
         health = {
@@ -903,7 +850,7 @@ class MultiprocessBackend(WorkerPoolBackend):
     def _worker_label(self, worker: int) -> str:
         return f"mp:{worker}"
 
-    def _worker_slots(self) -> int:
+    def _live_worker_count(self) -> int:
         if not self._procs:
             return self.max_workers
         return len(self._procs) - len(self._dead)

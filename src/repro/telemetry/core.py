@@ -8,8 +8,8 @@ threading a handle through every layer.
 
 Span semantics
 --------------
-``span(name)`` opens a timed region.  Spans nest (a per-thread stack
-tracks the open chain) and each span aggregates its **exclusive** time
+``span(name)`` opens a timed region.  Spans nest (one stack tracks
+the open chain) and each span aggregates its **exclusive** time
 — duration minus the time spent in child spans — into the registry's
 per-name phase totals.  Exclusive attribution is the property that
 makes phase totals *additive*: the *sum* of all phase totals recorded
@@ -27,7 +27,6 @@ overhead microbenchmark).
 from __future__ import annotations
 
 import json
-import threading
 import time
 from bisect import bisect_left
 
@@ -149,13 +148,13 @@ class _Span:
         self.child_s = 0.0
 
     def __enter__(self):
-        self._tel._stack().append(self)
+        self._tel._stack.append(self)
         self.t0 = self._tel.clock()
         return self
 
     def __exit__(self, exc_type, exc, tb):
         dur = self._tel.clock() - self.t0
-        stack = self._tel._stack()
+        stack = self._tel._stack
         stack.pop()
         if stack:
             stack[-1].child_s += dur
@@ -172,15 +171,9 @@ class Telemetry:
     status view needs.  ``clock`` is injectable for deterministic
     tests; it must be monotonic.
 
-    Mostly single-threaded by design — the driver records from one
-    thread — but multi-slot workers run shards on several threads at
-    once, so span *attribution* is thread-local: each thread keeps its
-    own span stack and its own per-thread phase totals, and
-    :meth:`phase_snapshot` / :meth:`phase_delta` read the calling
-    thread's view.  A shard's phase dict therefore never absorbs a
-    concurrent slot's time.  The registry-wide ``_phases`` totals are
-    still best-effort under concurrency (unlocked adds); they are only
-    consumed on the (single-threaded) driver, where they are exact.
+    Single-threaded by design: the driver records from one thread and
+    every worker process runs one shard at a time, so one span stack
+    and one set of phase totals serve the whole process.
     Cross-process aggregation happens at the message layer — workers
     ship per-shard phase *deltas* back to the driver, never raw
     registries.
@@ -207,22 +200,9 @@ class Telemetry:
         # seconds relative to t0; bounded by max_events.
         self._events: list[tuple] = []
         self._dropped_events = 0
-        self._local = threading.local()
+        self._stack: list[_Span] = []  # the open span chain
 
     # -- spans ----------------------------------------------------------
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def _thread_phases(self) -> dict:
-        """This thread's own ``name -> exclusive seconds`` totals."""
-        phases = getattr(self._local, "phases", None)
-        if phases is None:
-            phases = self._local.phases = {}
-        return phases
-
     def span(self, name: str, **attrs):
         """A timed region; records on ``__exit__``.  Returns the shared
         no-op singleton when disabled (nothing allocated, nothing
@@ -239,8 +219,6 @@ class Telemetry:
         else:
             entry[0] += 1
             entry[1] += exclusive
-        local = self._thread_phases()
-        local[span.name] = local.get(span.name, 0.0) + exclusive
         if self.trace:
             self.add_event(
                 span.name, span.t0 - self.t0, dur, lane="driver",
@@ -297,20 +275,18 @@ class Telemetry:
         return {name: entry[0] for name, entry in self._phases.items()}
 
     def phase_snapshot(self) -> dict[str, float]:
-        """A copy of the *calling thread's* phase totals, for delta
-        attribution: snapshot before a unit of work, diff after, and
-        the result is that unit's own per-phase time — the pattern
-        ``sample_shard`` uses to give every shard outcome its phase
-        dict.  Thread-local so concurrent shards on a multi-slot
-        worker never attribute each other's time."""
-        return dict(self._thread_phases())
+        """A copy of the phase totals, for delta attribution: snapshot
+        before a unit of work, diff after, and the result is that
+        unit's own per-phase time — the pattern ``sample_shard`` uses
+        to give every shard outcome its phase dict."""
+        return self.phase_totals()
 
     def phase_delta(self, snapshot: dict[str, float]) -> dict[str, float]:
-        """Per-phase seconds this thread accrued since ``snapshot``
-        (positive only)."""
+        """Per-phase seconds accrued since ``snapshot`` (positive
+        only)."""
         delta = {}
-        for name, total in self._thread_phases().items():
-            d = total - snapshot.get(name, 0.0)
+        for name, entry in self._phases.items():
+            d = entry[1] - snapshot.get(name, 0.0)
             if d > 0.0:
                 delta[name] = d
         return delta

@@ -304,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--no-steal", action="store_true",
                          help="disable driver-side work stealing (by "
                               "default a fixed-shot job's straggling tail "
-                              "shards are re-sharded across idle worker "
-                              "slots; failure counts are bit-identical "
+                              "shards are re-sharded across idle workers; "
+                              "failure counts are bit-identical "
                               "either way)")
     p_sweep.add_argument("--no-shard-checkpoints", action="store_true",
                          help="with --results: skip per-shard checkpoint "

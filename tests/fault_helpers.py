@@ -10,8 +10,9 @@ Used by ``test_fault_tolerance.py`` (the chaos harness) and
 - :class:`CountingSerialBackend` — records every submitted
   ``(job_key, shard_index)``, for asserting checkpointed shards are
   not re-executed on resume;
-- :func:`spawn_worker` / :func:`spawn_workers` — launch real
-  ``repro-worker`` subprocesses on free ports;
+- :func:`spawn_worker` / :func:`spawn_workers` / :func:`spawn_launcher`
+  — launch real ``repro-worker`` subprocesses on free ports (a
+  ``--slots N`` launcher forks N workers, one address each);
 - :class:`FakeWorker` — a scripted in-process stand-in that sends
   exact bytes (a wrong hello, a corrupt frame header);
 - :class:`StubPoolBackend` — a synchronous in-process worker pool
@@ -26,6 +27,7 @@ Used by ``test_fault_tolerance.py`` (the chaos harness) and
 from __future__ import annotations
 
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -216,30 +218,42 @@ def subprocess_env() -> dict:
     return env
 
 
-def spawn_worker(timeout: float = 30.0, extra_args: tuple = (),
-                 listen: str = "127.0.0.1:0"):
-    """Start one ``repro-worker`` on a free port.
+def spawn_launcher(slots: int, extra_args: tuple = (),
+                   listen: str = "127.0.0.1:0"):
+    """Start ``repro-worker --slots <slots>``.
 
-    Returns ``(proc, "host:port")``; the worker announces its bound
-    address on stdout, which is how port 0 is resolved.  Elastic-pool
-    tests pass an explicit ``listen`` address so a replacement worker
-    can reclaim a dead one's roster slot.
+    Returns ``(proc, ["host:port", ...])``: the launcher announces one
+    bound address per forked worker on stdout, which is how port 0 is
+    resolved.  The launcher leads its own process group, so
+    :func:`reap_workers` can reach the forked workers too.
     """
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.engine.remote",
-         "--listen", listen, *extra_args],
+         "--listen", listen, "--slots", str(slots), *extra_args],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         env=subprocess_env(),
         text=True,
+        start_new_session=True,
     )
-    line = proc.stdout.readline().strip()
     prefix = "repro-worker listening on "
-    if not line.startswith(prefix):
-        proc.kill()
-        proc.wait()
-        raise RuntimeError(f"worker failed to start: {line!r}")
-    return proc, line[len(prefix):]
+    addrs = []
+    for _ in range(slots):
+        line = proc.stdout.readline().strip()
+        if not line.startswith(prefix):
+            reap_workers([proc], timeout=0)
+            raise RuntimeError(f"worker failed to start: {line!r}")
+        addrs.append(line[len(prefix):])
+    return proc, addrs
+
+
+def spawn_worker(extra_args: tuple = (), listen: str = "127.0.0.1:0"):
+    """Start one single-slot ``repro-worker``; returns
+    ``(proc, "host:port")``.  Elastic-pool tests pass an explicit
+    ``listen`` address so a replacement worker can reclaim a dead
+    one's roster address."""
+    proc, [addr] = spawn_launcher(1, extra_args, listen)
+    return proc, addr
 
 
 class FakeWorker:
@@ -316,7 +330,7 @@ class StubPoolBackend(WorkerPoolBackend):
     def _live_workers(self) -> list[int]:
         return list(range(self._workers))
 
-    def _worker_slots(self) -> int:
+    def _live_worker_count(self) -> int:
         return self._workers
 
     def _send(self, worker: int, message: tuple) -> None:
@@ -354,13 +368,21 @@ def spawn_workers(n: int):
 
 
 def reap_workers(procs, timeout: float = 15.0) -> None:
+    """Wait for each worker to exit (give up after ``timeout``), then
+    SIGKILL whatever is left of its process group — the launcher and
+    any worker it forked — so no process outlives the test."""
     for proc in procs:
         if proc.poll() is None:
             try:
                 proc.wait(timeout=timeout)
             except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+                pass
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except OSError:
+            pass  # the whole group is already gone
+        proc.wait()
+        proc.stdout.close()
 
 
 def run_sweep_driver(script: str):

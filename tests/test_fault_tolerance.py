@@ -331,7 +331,7 @@ class TestRemoteBackend:
         # is off so only the disowning can rescue those shards.
         procs, addrs = spawn_workers(1)
         corrupt = (
-            _encode_frame(("hello", PROTOCOL_VERSION, {"slots": 1}))
+            _encode_frame(("hello", PROTOCOL_VERSION))
             + _HEADER.pack(_MAX_FRAME + 1)
         )
         try:
@@ -357,7 +357,7 @@ class TestRemoteBackend:
 # ----------------------------------------------------------------------
 # One wire protocol: a worker of another version is refused
 # ----------------------------------------------------------------------
-OLD_HELLO = _encode_frame(("hello", 4, {"slots": 1}))
+OLD_HELLO = _encode_frame(("hello", 4))
 
 
 class TestProtocolVersion:

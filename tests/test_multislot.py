@@ -1,10 +1,12 @@
-"""Chaos tests for multi-slot workers, work stealing, and elastic pools.
+"""Chaos tests for forked worker slots, work stealing, and elastic pools.
 
-Proves the PR's guarantees end to end:
+Proves these guarantees end to end:
 
-- **multi-slot workers** — a ``--slots N`` worker runs shards
-  concurrently, each reply tagged with its slot so every slot gets its
-  own telemetry lane, and the totals stay bit-identical to serial;
+- **forked worker slots** — ``repro-worker --slots N`` forks N
+  single-slot workers on N announced addresses, each an ordinary
+  worker with its own plain ``host:port`` lane, the totals stay
+  bit-identical to serial, and the forked workers never outlive their
+  launcher; bad worker arguments are usage errors;
 - **windowed sub-shards** — a window re-draws the whole parent sample
   and decodes only its rows, so window failure counts sum to exactly
   the parent's (the invariant work stealing rests on);
@@ -18,14 +20,19 @@ Proves the PR's guarantees end to end:
 """
 
 import socket
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
 from fault_helpers import (
     reap_workers,
+    spawn_launcher,
     spawn_worker,
     spawn_workers,
+    subprocess_env,
 )
 from repro.engine import (
     CompilationCache,
@@ -43,7 +50,8 @@ from repro.engine.runner import (
     plan_shards,
     sample_shard,
 )
-from repro.engine.remote import RemoteBackend
+from repro.engine.remote import RemoteBackend, _recv_frame, parse_addr
+from repro.engine.remote import main as worker_main
 from repro.noise.parameters import DEFAULT_NOISE
 
 SHOTS = 600
@@ -125,7 +133,7 @@ class TestShardWindows:
 class TestWorkerMessages:
     def test_replies_have_one_fixed_shape(self, compiled_point):
         # Whole shards, stolen windows and errors all reply with
-        # (kind, seq, value, elapsed_s, epoch, memo, phases, slot).
+        # (kind, seq, value, elapsed_s, epoch, memo, phases).
         spec, job, compiled, _decoder, _sampler = compiled_point
         executor = ShardExecutor()
         prime = ("prime", "ckt", compiled.text, dem_to_jsonable(compiled.dem),
@@ -138,22 +146,22 @@ class TestWorkerMessages:
                     shard.seed, 0, offset, parent_shots)
 
         whole = handle_worker_message(executor, shard_message(0, SHARD, 0, None))
-        assert len(whole) == 8 and whole[:2] == ("ok", 0)
+        assert len(whole) == 7 and whole[:2] == ("ok", 0)
         assert len(whole[5]) == 3  # (hits, misses, size)
-        assert whole[6:] == (None, None)  # telemetry off, single slot
+        assert whole[6:] == (None,)  # telemetry off
         half = SHARD // 2
         windows = [
             handle_worker_message(
-                executor, shard_message(1 + i, half, i * half, SHARD), slot=1
+                executor, shard_message(1 + i, half, i * half, SHARD)
             )
             for i in range(2)
         ]
-        assert [reply[7] for reply in windows] == [1, 1]
+        assert [len(reply) for reply in windows] == [7, 7]
         assert sum(reply[2] for reply in windows) == whole[2]
         error = handle_worker_message(
             executor, shard_message(3, SHARD, 0, None, key="unprimed")
         )
-        assert len(error) == 8 and error[:2] == ("error", 3)
+        assert len(error) == 7 and error[:2] == ("error", 3)
         assert "unprimed" in error[2]
 
 
@@ -267,7 +275,7 @@ class TestStealScheduler:
 
 
 # ----------------------------------------------------------------------
-# Real multi-slot workers (sockets)
+# Real workers: forked slots (sockets, processes)
 # ----------------------------------------------------------------------
 class RecordingRemote(RemoteBackend):
     """RemoteBackend that audits outcome lanes, sends, and adoptions."""
@@ -293,54 +301,102 @@ class RecordingRemote(RemoteBackend):
         return super()._adopt(conn)
 
 
-class TestMultiSlotWorker:
-    def test_two_slot_worker_fills_both_lanes_bit_identical(
+def port_is_free(addr: str) -> bool:
+    """Whether nothing listens on ``addr`` any more — probed by binding
+    it, which never opens a session with a live worker."""
+    try:
+        socket.create_server(parse_addr(addr)).close()
+    except OSError:
+        return False
+    return True
+
+
+class TestForkedSlots:
+    def test_two_slot_launcher_is_two_plain_workers_bit_identical(
         self, serial_reference
     ):
-        # The shard delay keeps shards on the worker long enough that
-        # the driver's queue actually overlaps them across both slots.
-        proc, addr = spawn_worker(
-            extra_args=("--slots", "2", "--chaos-shard-delay", "0.05")
+        # The shard delay keeps shards on each worker long enough that
+        # the driver's queue spreads them over both.
+        proc, addrs = spawn_launcher(
+            2, extra_args=("--chaos-shard-delay", "0.05")
         )
         try:
-            with RecordingRemote([addr]) as backend:
+            assert len(set(addrs)) == 2
+            with RecordingRemote(addrs) as backend:
                 results = run_sweep(
                     small_spec(), backend=backend, shard_shots=SHARD
                 )
                 health = backend.pool_health()
             assert [r.failures for r in results] == serial_reference
-            # Every outcome is slot-tagged and both slots saw work.
-            slots_seen = {lane.rsplit("#", 1)[-1] for lane in self.slot_tagged(
-                backend.lanes, addr)}
-            assert slots_seen == {"s0", "s1"}, backend.lanes
-            [stats] = health["workers"].values()
-            assert stats["slots"] == 2
-            assert 0 <= stats["busy_slots"] <= 2
+            # Every outcome lands on one of the two plain addresses.
+            assert set(backend.lanes) == set(addrs), backend.lanes
+            assert set(health["workers"]) == set(addrs)
+            for stats in health["workers"].values():
+                assert not {"slots", "busy_slots"} & set(stats)
+            # The workers exit with their driver, the launcher with them.
+            assert proc.wait(timeout=30) == 0
         finally:
             reap_workers([proc])
 
-    @staticmethod
-    def slot_tagged(lanes, addr):
-        tagged = [lane for lane in lanes if lane.startswith(addr)
-                  and "#s" in lane]
-        assert len(tagged) == len(lanes), lanes
-        return tagged
-
-    def test_mixed_slot_pool_matches_serial(self, serial_reference):
-        # One 2-slot and one 1-slot worker in the same pool: capacity
-        # counts slots, not sockets, and the totals still match serial.
-        proc2, addr2 = spawn_worker(extra_args=("--slots", "2"))
-        proc1, addr1 = spawn_worker()
+    def test_sigkilled_launcher_leaves_no_worker_behind(self):
+        # Serve-forever workers never exit on their own.  A hello from
+        # each proves both were forked before the launcher is killed.
+        proc, addrs = spawn_launcher(2, extra_args=("--serve-forever",))
         try:
-            with RemoteBackend([addr2, addr1]) as backend:
-                results = run_sweep(
-                    small_spec(), backend=backend, shard_shots=SHARD
-                )
-                assert backend._worker_slots() == 3
-                assert backend.capacity == 3 * backend.queue_depth
-            assert [r.failures for r in results] == serial_reference
+            for addr in addrs:
+                with socket.create_connection(parse_addr(addr)) as sock:
+                    sock.settimeout(30)
+                    assert _recv_frame(sock)[0] == "hello"
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 5.0
+            held = set(addrs)
+            while held and time.monotonic() < deadline:
+                held = {addr for addr in held if not port_is_free(addr)}
+                time.sleep(0.05)
+            assert not held, f"forked workers outlived the launcher: {held}"
         finally:
-            reap_workers([proc2, proc1])
+            reap_workers([proc])
+
+    def test_bind_failure_exits_before_any_fork(self):
+        # The second of two consecutive ports is taken: the launcher
+        # must fail on the bind, announce nothing, and fork nobody.
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            port = taken.getsockname()[1]
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.engine.remote",
+                 "--listen", f"127.0.0.1:{port - 1}", "--slots", "2"],
+                capture_output=True, text=True, env=subprocess_env(),
+                timeout=60,
+            )
+        assert proc.returncode == 1
+        assert "listening" not in proc.stdout
+        assert "cannot listen" in proc.stderr
+
+
+class TestWorkerArguments:
+    @pytest.mark.parametrize("argv", [
+        ["--slots", "abc"],
+        ["--slots", "0"],
+        ["--slots", "-2"],
+        ["--listen", "127.0.0.1:notaport"],
+        ["--listen", "nohost"],
+        ["--listen", "127.0.0.1:65536"],
+        ["--listen", "127.0.0.1:65535", "--slots", "2"],
+    ])
+    def test_bad_arguments_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            worker_main(argv)
+        assert exit_info.value.code == 2
+        assert "usage: repro-worker" in capsys.readouterr().err
+
+    def test_parse_addr_accepts_only_ports_0_to_65535(self):
+        assert parse_addr("127.0.0.1:0") == ("127.0.0.1", 0)
+        assert parse_addr("host:65535") == ("host", 65535)
+        for bad in ("host:65536", "host:-1", "host:", "host:x", ":7930",
+                    "host"):
+            with pytest.raises(ValueError, match="not host:port"):
+                parse_addr(bad)
 
 
 class TestWorkStealingRemote:

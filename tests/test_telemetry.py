@@ -421,7 +421,7 @@ class TestPoolTelemetryProtocol:
         backend._dispatch[0] = (0, "job", 64, 0.0)
         backend._load = [1]
         outcome = backend._handle(
-            ("ok", 0, 3, 0.5, 0, (1, 2, 3), {"sample": 0.4}, None)
+            ("ok", 0, 3, 0.5, 0, (1, 2, 3), {"sample": 0.4})
         )
         assert outcome.phases is None
         assert outcome.worker == "stub:0"

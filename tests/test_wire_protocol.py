@@ -7,14 +7,12 @@ without subprocesses:
 - **framing** — the driver's incremental frame parser keeps partial
   tails and flags a length header over ``_MAX_FRAME`` as corrupt; the
   worker's blocking reader treats such a header as a dead link;
-- **hello** — a worker session opens with ``("hello", VERSION,
-  {"slots": N})``, and the driver's handshake reads the slot count and
-  refuses anything that is not a hello;
+- **hello** — a worker session opens with ``("hello", VERSION)``, and
+  the driver's handshake refuses anything that is not a hello;
 - **sessions** — prime/shard/stop over a socket pair, with replies of
-  the one fixed shape on single- and multi-slot workers, and
-  telemetry reset per session;
+  the one fixed shape, and telemetry reset per session;
 - **handler** — ``config``, prime errors, and the per-process memo
-  (shared by a multi-slot worker's slots, never across workers);
+  (never shared across workers);
 - **driver** — a synchronous stub pool sends only fixed-shape shard
   tuples and lands on the serial failure counts.
 """
@@ -132,13 +130,12 @@ class TestFraming:
 # ----------------------------------------------------------------------
 # Hello handshake, both ends
 # ----------------------------------------------------------------------
-def _session(slots: int):
+def _session():
     """A worker session on one end of a socket pair; returns the
     driver-side socket and the serving thread."""
     driver, worker = socket.socketpair()
     thread = threading.Thread(
-        target=_serve_connection, args=(worker,), kwargs={"slots": slots},
-        daemon=True,
+        target=_serve_connection, args=(worker,), daemon=True,
     )
     thread.start()
     driver.settimeout(30)
@@ -154,23 +151,12 @@ def _end_session(driver, worker, thread) -> None:
 
 
 class TestHello:
-    @pytest.mark.parametrize("slots", [1, 2])
-    def test_worker_hello_names_version_and_slots(self, slots):
-        driver, worker, thread = _session(slots)
+    def test_worker_hello_names_version(self):
+        driver, worker, thread = _session()
         try:
-            assert _recv_frame(driver) == (
-                "hello", PROTOCOL_VERSION, {"slots": slots}
-            )
+            assert _recv_frame(driver) == ("hello", PROTOCOL_VERSION)
         finally:
             _end_session(driver, worker, thread)
-
-    def test_driver_reads_slot_count_from_hello(self):
-        hello = _encode_frame(("hello", PROTOCOL_VERSION, {"slots": 3}))
-        with FakeWorker(hello) as fake:
-            backend = RemoteBackend([fake.addr], connect_timeout=5.0)
-            conn = backend._connect(parse_addr(fake.addr))
-            conn.sock.close()
-        assert conn.slots == 3
 
     def test_driver_refuses_a_peer_that_does_not_say_hello(self):
         with FakeWorker(_encode_frame(("ok", 0))) as fake:
@@ -183,10 +169,9 @@ class TestHello:
 # Whole sessions over a socket pair
 # ----------------------------------------------------------------------
 class TestSession:
-    @pytest.mark.parametrize("slots", [1, 2])
-    def test_shard_reply_has_the_fixed_shape(self, point, slots):
+    def test_shard_reply_has_the_fixed_shape(self, point):
         prime, shard_message = point
-        driver, worker, thread = _session(slots)
+        driver, worker, thread = _session()
         try:
             _recv_frame(driver)  # hello
             driver.sendall(_encode_frame(prime))
@@ -194,19 +179,16 @@ class TestSession:
             reply = _recv_frame(driver)
         finally:
             _end_session(driver, worker, thread)
-        kind, seq, failures, elapsed, epoch, memo, phases, slot = reply
+        kind, seq, failures, elapsed, epoch, memo, phases = reply
         assert (kind, seq, epoch, phases) == ("ok", 5, 0, None)
         assert isinstance(failures, int) and elapsed >= 0.0
         assert len(memo) == 3
-        # Single-slot workers leave the lane unnamed; multi-slot ones
-        # name the slot that ran the shard.
-        assert slot is None if slots == 1 else slot in range(slots)
 
     def test_session_starts_with_telemetry_off(self, scoped_registry):
         # A serve-forever worker must not inherit an earlier session's
         # (or its own process's) telemetry switch.
         telemetry.set_active(Telemetry(enabled=True))
-        driver, worker, thread = _session(1)
+        driver, worker, thread = _session()
         _recv_frame(driver)
         _end_session(driver, worker, thread)
         assert not telemetry.get().enabled
@@ -229,9 +211,9 @@ class TestHandler:
     def test_prime_error_reply_has_fixed_shape(self):
         bad = ("prime", "ckt", "NOT_AN_INSTRUCTION 0", None, None, None, 4)
         reply = handle_worker_message(ShardExecutor(), bad)
-        assert len(reply) == 8
+        assert len(reply) == 7
         assert reply[:2] == ("error", None)
-        assert reply[4:] == (4, None, None, None)
+        assert reply[4:] == (4, None, None)
         assert "Traceback" in reply[2]
 
     def test_repeat_shard_is_served_from_the_memo(self, point):
@@ -244,15 +226,6 @@ class TestHandler:
         hits, misses, size = again[5]
         assert misses == 0 and hits > 0
         assert size == first[5][2]
-
-    def test_slots_of_one_worker_share_a_memo(self, point):
-        prime, shard_message = point
-        executor = ShardExecutor(slots=2)
-        handle_worker_message(executor, prime)
-        first = handle_worker_message(executor, shard_message(0), slot=0)
-        other = handle_worker_message(executor, shard_message(1), slot=1)
-        assert other[2] == first[2]
-        assert other[5][1] == 0  # slot 1 decoded nothing new
 
     def test_separate_workers_never_share_a_memo(self, point):
         prime, shard_message = point
