@@ -12,8 +12,11 @@ Two measured points for the forked-slot / work-stealing engine:
   to "multi-slot is never slower" (>= 0.85x, absorbing timer noise),
   with the skipped full gate recorded in the JSON.  Each slot count
   is launched ``SLOT_REPEATS`` times, interleaved, and the gates read
-  the median wall clock: a smoke sweep lasts ~50 ms, most of it
-  driver-side compile whose run-to-run noise alone spans +-30%.
+  the median wall clock.  The point is decode-bound (d=5 near
+  threshold, five rounds, MWPM), so shard compute holds most of the
+  one-slot wall clock; the JSON records the split, with driver setup
+  read from ``Runner._setup_s_total``.  A driver-setup-bound point
+  would time the driver, which no slot count can speed up.
 
 - **straggler steal** — a two-worker pool where one worker sleeps
   before every shard (``--chaos-shard-delay``, so the stall
@@ -101,33 +104,46 @@ def _spec(shots: int, **overrides) -> SweepSpec:
     return SweepSpec(**base)
 
 
+# The slot point: d=5 near threshold over five rounds, where decoding
+# dominates and the syndrome memo almost never hits.
+SLOT_POINT = dict(distances=(5,), rounds=5, decoders=("mwpm",))
+
+
 # ----------------------------------------------------------------------
 # Point 1: --slots 1 vs --slots 4 throughput
 # ----------------------------------------------------------------------
-def _timed_sweep(backend, shots: int, shard_shots: int, **runner_kw):
-    """Wall clock + failures of one sweep against ``backend``, after a
-    warmup sweep of one shard per worker that pays the one-off worker
-    priming (circuit transfer, DEM build, decoder construction)
-    outside the timed run."""
-    run_sweep(_spec(shots=len(backend.addrs) * shard_shots), backend=backend,
-              shard_shots=shard_shots, cache=ENGINE_CACHE)
-    runner = Runner(_spec(shots=shots), backend=backend,
+def _timed_sweep(backend, shots: int, shard_shots: int, point=None,
+                 **runner_kw):
+    """Wall clock, failures, steal stats and driver setup seconds of
+    one sweep against ``backend``, after a warmup sweep of one shard
+    per worker that pays the one-off worker priming (circuit transfer,
+    DEM build, decoder construction) outside the timed run.  The
+    warmup draws from another master seed, so no timed shard finds
+    its syndromes already in a worker's memo."""
+    point = point or {}
+    run_sweep(_spec(shots=len(backend.addrs) * shard_shots,
+                    master_seed=MASTER_SEED + 1, **point),
+              backend=backend, shard_shots=shard_shots, cache=ENGINE_CACHE)
+    runner = Runner(_spec(shots=shots, **point), backend=backend,
                     shard_shots=shard_shots, cache=ENGINE_CACHE, **runner_kw)
     t0 = time.perf_counter()
     results = runner.run()
     wall_s = time.perf_counter() - t0
-    return wall_s, [r.failures for r in results], runner.steal_stats
+    return (wall_s, [r.failures for r in results], runner.steal_stats,
+            runner._setup_s_total)
 
 
 def _slot_run(slots: int, shots: int, shard_shots: int):
-    """One fresh ``--slots`` launch: (wall_s, failures)."""
+    """One fresh ``--slots`` launch: (wall_s, failures, setup_s)."""
     proc, addrs = _spawn_worker(slots=slots)
     try:
         with RemoteBackend(addrs) as backend:
-            wall_s, failures, _ = _timed_sweep(backend, shots, shard_shots)
+            wall_s, failures, _, setup_s = _timed_sweep(
+                backend, shots, shard_shots, SLOT_POINT
+            )
     finally:
         _reap([proc])
-    return wall_s, failures
+    return wall_s, failures, setup_s
 
 
 def _slot_points(shots: int, shard_shots: int) -> list[dict]:
@@ -139,9 +155,10 @@ def _slot_points(shots: int, shard_shots: int) -> list[dict]:
             samples.append(_slot_run(slots, shots, shard_shots))
     points = []
     for slots, samples in runs.items():
-        walls = [wall_s for wall_s, _ in samples]
+        walls = [wall_s for wall_s, _, _ in samples]
+        setups = [setup_s for _, _, setup_s in samples]
         failures = samples[0][1]
-        assert all(f == failures for _, f in samples)
+        assert all(f == failures for _, f, _ in samples)
         wall_s = statistics.median(walls)
         points.append({
             "slots": slots,
@@ -149,6 +166,13 @@ def _slot_points(shots: int, shard_shots: int) -> list[dict]:
             "wall_s_runs": [round(w, 4) for w in walls],
             "shots_per_s": round(shots / wall_s, 1),
             "failures": failures,
+            # Driver setup (compile) against everything else, which is
+            # shard compute plus dispatch: the share a slot count acts on.
+            "setup_s": round(statistics.median(setups), 4),
+            "setup_s_runs": [round(t, 4) for t in setups],
+            "compute_share": round(statistics.median(
+                1.0 - t / w for t, w in zip(setups, walls)
+            ), 3),
         })
     return points
 
@@ -166,7 +190,7 @@ def _straggler_point(steal: bool, shots: int, shard_shots: int) -> dict:
     )
     try:
         with RemoteBackend(fast_addrs + slow_addrs) as backend:
-            wall_s, failures, steals = _timed_sweep(
+            wall_s, failures, steals, _ = _timed_sweep(
                 backend, shots, shard_shots,
                 steal=steal, steal_min_shots=shard_shots // 2,
             )
@@ -182,8 +206,7 @@ def _straggler_point(steal: bool, shots: int, shard_shots: int) -> dict:
 
 def test_remote_scaling():
     cores = os.cpu_count() or 1
-    shots = 2048 if smoke() else 16384
-    shard_shots = 256
+    shots, shard_shots = (1024, 128) if smoke() else (4096, 256)
 
     one, four = _slot_points(shots, shard_shots)
     speedup = four["shots_per_s"] / one["shots_per_s"]
@@ -211,11 +234,14 @@ def test_remote_scaling():
 
     publish("bench_remote_scaling", "\n".join([
         f"host cores: {cores}  mode: {'smoke' if smoke() else 'full'}",
-        f"slot scaling ({shots} shots, shard {shard_shots}, "
-        f"median of {SLOT_REPEATS}):",
-        f"  1-slot: {one['wall_s']:.2f}s  {one['shots_per_s']:>9,.0f} shots/s",
+        f"slot scaling (d=5 x5 rounds mwpm, {shots} shots, shard "
+        f"{shard_shots}, median of {SLOT_REPEATS}):",
+        f"  1-slot: {one['wall_s']:.2f}s  {one['shots_per_s']:>9,.0f} shots/s"
+        f"  (setup {one['setup_s']:.2f}s, compute share "
+        f"{one['compute_share']:.0%})",
         f"  4-slot: {four['wall_s']:.2f}s  {four['shots_per_s']:>9,.0f} shots/s"
-        f"  -> {speedup:.2f}x",
+        f"  (setup {four['setup_s']:.2f}s, compute share "
+        f"{four['compute_share']:.0%})  -> {speedup:.2f}x",
         f"  full >= {SLOT_FULL_GATE}x gate: "
         + ("checked" if full_gate_checked
            else f"skipped ({full_gate_skip_reason})"),
@@ -235,6 +261,7 @@ def test_remote_scaling():
         "smoke": smoke(),
         "cpu_count": cores,
         "slot_scaling": {
+            "point": {**SLOT_POINT, "gate_improvement": 1.0},
             "shots": shots,
             "shard_shots": shard_shots,
             "repeats": SLOT_REPEATS,

@@ -26,7 +26,8 @@ import time
 
 from repro import telemetry
 from repro.engine import CompilationCache, SweepSpec
-from repro.engine.runner import Shard, compile_design_point, sample_shard
+from repro.engine.runner import compile_design_point
+from repro.engine.worker import Shard, sample_shard
 from repro.noise.parameters import DEFAULT_NOISE
 
 from _common import MASTER_SEED, publish, smoke

@@ -11,12 +11,14 @@ The uniform harness behind the paper's figure sweeps:
   matrices), so each unique circuit is compiled exactly once per sweep;
   the disk layer is LRU-size-bounded via ``max_disk_mb`` (``cache.py``);
 - :class:`Runner` / :func:`run_sweep` with pluggable backends —
-  :class:`SerialBackend`, a :class:`MultiprocessBackend` that shards
-  shots over workers with independent ``SeedSequence`` streams and
-  merges failure counts bit-identically, and a socket
-  :class:`RemoteBackend` speaking the same worker protocol to
-  ``repro-worker`` processes on other machines, with worker crash
-  recovery (``runner.py``, ``remote.py``);
+  :class:`SerialBackend`, and one worker pool with two ways in: a
+  :class:`MultiprocessBackend` that forks local workers and a
+  :class:`RemoteBackend` that dials ``repro-worker`` processes on
+  other machines.  Every pool worker runs the same loop over one
+  socket; shots are sharded over independent ``SeedSequence`` streams
+  so failure counts merge bit-identically, and a dead worker's shards
+  are resubmitted to survivors (``runner.py``, ``pool.py``,
+  ``worker.py``, ``remote.py``);
 - :class:`ResultStore` / :class:`JobResult` / :class:`ShardRecord` —
   JSON-lines persistence with resume at job *and* shard granularity:
   completed job keys are skipped, and an interrupted job resumes from
@@ -38,17 +40,13 @@ True
 """
 
 from .cache import CompilationCache, CompiledCircuit, circuit_key
+from .pool import MultiprocessBackend, NoLiveWorkersError, WorkerPoolBackend
 from .progress import ProgressReporter
 from .results import JobResult, ResultStore, ShardRecord
 from .runner import (
     DEFAULT_SHARD_SHOTS,
-    MultiprocessBackend,
-    NoLiveWorkersError,
     Runner,
     SerialBackend,
-    Shard,
-    ShardExecutor,
-    WorkerPoolBackend,
     compile_design_point,
     plan_shards,
     run_sweep,
@@ -56,13 +54,13 @@ from .runner import (
 )
 from .scheduler import JobState, ShardOutcome, ShardTask, StreamScheduler
 from .sweep import SweepJob, SweepSpec
+from .worker import Shard, ShardExecutor
 
 
 def __getattr__(name):
     # Lazy so that ``python -m repro.engine.remote`` (the worker entry
     # point) doesn't find the module pre-imported by its own package —
-    # runpy warns about that — and plain engine users don't pay the
-    # socket machinery import.
+    # runpy warns about that.
     if name == "RemoteBackend":
         from .remote import RemoteBackend
 

@@ -1,13 +1,12 @@
-"""Socket-based distributed execution backend.
+"""Remote workers: ``repro-worker`` and the backend that dials it.
 
-``RemoteBackend`` speaks the engine's streaming backend protocol
-(``capacity`` / ``submit`` / ``poll`` / ``wait`` / ``take_lost``) over
-TCP connections to ``repro-worker`` processes — the same worker
-messages as the multiprocessing backend (prime once per (worker,
-circuit), tiny shard tuples), serialised as length-prefixed pickle
-frames.  The worker side runs the very same
-:class:`~repro.engine.runner.ShardExecutor` as a multiprocessing
-worker; only the transport differs.
+``RemoteBackend`` is the engine's worker pool
+(:class:`~repro.engine.pool.WorkerPoolBackend`) over TCP connections
+to ``repro-worker`` processes.  A remote worker is the same worker as
+a local :class:`~repro.engine.pool.MultiprocessBackend` one — the same
+:func:`~repro.engine.worker._serve_connection` loop on one socket —
+and the driver runs the same event loop over both; only the making
+of a connection differs (dial an address, or fork on a socket pair).
 
 Launch workers anywhere the driver can reach::
 
@@ -29,12 +28,12 @@ partition — anything that closes or breaks the socket) is disowned;
 the scheduler resubmits its in-flight shards, with their original RNG
 seeds, to the surviving workers, so failure counts stay bit-identical
 to a crash-free run.  When *no* worker survives, the backend raises
-:class:`~repro.engine.runner.NoLiveWorkersError` instead of hanging.
+:class:`~repro.engine.pool.NoLiveWorkersError` instead of hanging.
 
 Trust model: frames are **pickle** — the worker executes what the
-driver sends and trusts it completely (and vice versa).  Run workers
-only on hosts/networks you control, exactly like a multiprocessing
-pool stretched across machines.
+driver sends and trusts it completely (and vice versa), exactly as a
+local pool worker does.  Run workers only on hosts/networks you
+control.
 """
 
 from __future__ import annotations
@@ -43,48 +42,21 @@ import argparse
 import logging
 import os
 import pickle
-import selectors
 import signal
 import socket
-import struct
 import sys
 import time
 import traceback
 
-from ..telemetry import configure as configure_telemetry
-from .runner import (
-    NoLiveWorkersError,
-    ShardExecutor,
-    ShardOutcome,
-    WorkerPoolBackend,
-    _WorkerDied,
-    handle_worker_message,
-)
+from .pool import WorkerPoolBackend, _Connection
+from .worker import _serve_connection
 
 logger = logging.getLogger(__name__)
 
-# The worker opens every session with ``("hello", PROTOCOL_VERSION)``;
-# the driver then sends the messages of
-# :func:`~repro.engine.runner.handle_worker_message` (prime, dmat,
-# config, shard, stop) and reads its fixed-shape replies.  Driver and
-# worker ship in one package, so there is exactly one message format:
-# a driver refuses a worker whose hello names any other version
-# (bump the number whenever a message shape changes).
-PROTOCOL_VERSION = 6
-_HEADER = struct.Struct(">I")
-# A frame is bounded by the largest prime payload (two DEM JSONs plus
-# the all-pairs distance matrices) — far below this, but cap it so a
-# corrupt/hostile header cannot trigger a giant allocation.
-_MAX_FRAME = 1 << 31
 _MAX_PORT = 65535
 # How often a forked worker idle in ``accept`` checks that its launcher
 # is still alive (a worker must never outlive its launcher).
 _ORPHAN_CHECK_S = 0.25
-
-
-def _encode_frame(message) -> bytes:
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    return _HEADER.pack(len(payload)) + payload
 
 
 def parse_addr(addr: str) -> tuple[str, int]:
@@ -113,60 +85,6 @@ def parse_addrs(addrs) -> list[tuple[str, int]]:
 # ----------------------------------------------------------------------
 # Worker side (repro-worker)
 # ----------------------------------------------------------------------
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Read exactly ``n`` bytes, or ``None`` on a clean/broken EOF."""
-    chunks = []
-    while n:
-        try:
-            chunk = sock.recv(min(n, 1 << 20))
-        except OSError:
-            return None
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
-
-
-def _recv_frame(sock: socket.socket):
-    """Blocking read of one frame; ``None`` on EOF/reset."""
-    header = _recv_exact(sock, _HEADER.size)
-    if header is None:
-        return None
-    (length,) = _HEADER.unpack(header)
-    if length > _MAX_FRAME:
-        return None
-    payload = _recv_exact(sock, length)
-    if payload is None:
-        return None
-    return pickle.loads(payload)
-
-
-def _serve_connection(conn: socket.socket,
-                      chaos_shard_delay: float = 0.0) -> None:
-    """One driver session: hello, then prime/dmat/shard until stop/EOF.
-
-    Executor state is per-connection — a new driver always reprimes,
-    so stale circuits can never leak between sweeps.
-    ``chaos_shard_delay`` sleeps that long before each shard — a fault-
-    injection knob for forcing straggler shards in tests/benchmarks.
-    """
-    conn.sendall(_encode_frame(("hello", PROTOCOL_VERSION)))
-    # Telemetry is per-driver state: a serve-forever worker must not
-    # carry the previous driver's setting into the next session.
-    configure_telemetry(enabled=False)
-    executor = ShardExecutor()
-    while True:
-        message = _recv_frame(conn)
-        if message is None or message[0] == "stop":
-            return
-        if chaos_shard_delay and message[0] == "shard":
-            time.sleep(chaos_shard_delay)
-        reply = handle_worker_message(executor, message)
-        if reply is not None:
-            conn.sendall(_encode_frame(reply))
-
-
 def _accept_loop(listener: socket.socket, *, serve_forever: bool,
                  chaos_shard_delay: float, launcher: int | None = None,
                  ) -> None:
@@ -345,47 +263,13 @@ def main(argv=None) -> int:
 # ----------------------------------------------------------------------
 # Driver side
 # ----------------------------------------------------------------------
-class _Connection:
-    """Driver-side state of one worker link."""
-
-    __slots__ = (
-        "addr", "sock", "buffer", "alive", "outbox", "outbox_since",
-        "interest",
-    )
-
-    def __init__(self, addr: tuple[str, int], sock: socket.socket):
-        self.addr = addr
-        self.sock = sock
-        self.buffer = bytearray()
-        self.alive = True
-        # Frames queued behind a full socket buffer, flushed by the
-        # event loop as the socket turns writable; ``outbox_since``
-        # timestamps the last flush progress so a wedged worker
-        # surfaces as dead within send_timeout.
-        self.outbox = bytearray()
-        self.outbox_since: float | None = None
-        self.interest = 0  # current selector event mask
-
-    @property
-    def label(self) -> str:
-        return f"{self.addr[0]}:{self.addr[1]}"
-
-
 class RemoteBackend(WorkerPoolBackend):
     """Streams shot shards to ``repro-worker`` processes over TCP.
 
-    Accepts the same tasks as the in-process backends and keeps the
-    engine's contracts: deterministic shard seeds (so distributed
-    failure counts match serial bit for bit), once-per-(worker,
-    circuit) priming, epoch-tagged abandonment for shared backends,
-    and crash recovery — a broken socket disowns that worker's
-    in-flight shards for the scheduler to resubmit to survivors.
-
-    The driver is a single selector-based event loop: sends are queued
-    per connection and flushed as sockets turn writable, reads are
-    multiplexed in one ``select``, so dispatch latency is independent
-    of pool size and one slow worker's full socket buffer never blocks
-    the others.
+    Keeps every pool contract (deterministic shard seeds, so
+    distributed failure counts match serial bit for bit;
+    once-per-(worker, circuit) priming; epoch-tagged abandonment;
+    crash recovery on a broken socket) and adds only the dialling.
 
     ``elastic=True`` turns the address list into a *membership*
     roster: unreachable workers at start are tolerated (any one
@@ -404,53 +288,16 @@ class RemoteBackend(WorkerPoolBackend):
         self,
         addrs,
         *,
-        queue_depth: int = 2,
         connect_timeout: float = 10.0,
-        send_timeout: float = 60.0,
         elastic: bool = False,
         rescan_interval: float = 2.0,
     ):
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be positive")
         self.addrs = parse_addrs(addrs)
-        self.queue_depth = queue_depth
         self.connect_timeout = connect_timeout
-        self.send_timeout = send_timeout
         self.elastic = bool(elastic)
         self.rescan_interval = rescan_interval
         self._last_rescan = 0.0
-        self._selector: selectors.BaseSelector | None = None
-        self._conns: list[_Connection] = []
-        # Wire-level metrics (sweep-lifetime totals, surfaced via
-        # pool_health): frame bytes each way and driver-side pickle
-        # serialisation time.
-        self._bytes_out = 0
-        self._bytes_in = 0
-        self._serialize_s = 0.0
-        self._init_pool()
-
-    # transport hooks ---------------------------------------------------
-    def _worker_label(self, worker: int) -> str:
-        if worker < len(self._conns):
-            return self._conns[worker].label
-        return f"remote:{worker}"
-
-    def _transport_stats(self) -> dict:
-        return {
-            "wire": {
-                "bytes_out": self._bytes_out,
-                "bytes_in": self._bytes_in,
-                "serialize_s": self._serialize_s,
-            }
-        }
-
-    def _live_worker_count(self) -> int:
-        if not self._conns:
-            return len(self.addrs)
-        return len(self._live_workers())
-
-    def _live_workers(self) -> list[int]:
-        return [w for w, conn in enumerate(self._conns) if conn.alive]
+        super().__init__(len(self.addrs))
 
     def _connect(self, addr, timeout: float | None = None) -> _Connection:
         """Dial one worker and complete the hello handshake."""
@@ -462,57 +309,29 @@ class RemoteBackend(WorkerPoolBackend):
                 f"cannot reach repro-worker at {addr[0]}:{addr[1]}: {exc}"
             ) from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = _Connection(addr, sock)
-        hello = self._blocking_frame(conn)
-        if not (isinstance(hello, tuple) and hello[:1] == ("hello",)):
-            sock.close()
-            raise ConnectionError(
-                f"worker at {addr[0]}:{addr[1]} did not say hello "
-                f"(got {hello!r}) — is it a repro-worker?"
-            )
-        version = hello[1] if len(hello) > 1 else None
-        if version != PROTOCOL_VERSION:
-            sock.close()
-            raise ConnectionError(
-                f"worker at {addr[0]}:{addr[1]} speaks protocol "
-                f"{version!r} but this driver speaks protocol "
-                f"{PROTOCOL_VERSION} — run the same repro version on "
-                "driver and workers"
-            )
-        sock.settimeout(None)
-        sock.setblocking(False)
-        return conn
+        return self._handshake(sock, f"{addr[0]}:{addr[1]}", addr)
 
-    def _adopt(self, conn: _Connection) -> int:
-        """Append a fresh connection as a new worker index (indices are
-        never reused — a rejoining address gets a new identity, so the
-        bookkeeping of its previous life can never leak onto it)."""
-        worker = len(self._conns)
-        self._conns.append(conn)
-        self._load.append(0)
-        self._update_interest(worker)
-        return worker
-
-    def _ensure_workers(self) -> None:
-        if self._conns:
-            return
-        self._selector = selectors.DefaultSelector()
+    def _open_connections(self) -> list[_Connection]:
+        conns: list[_Connection] = []
         unreachable: list[ConnectionError] = []
         for addr in self.addrs:
             try:
-                conn = self._connect(addr)
+                conns.append(self._connect(addr))
             except ConnectionError as exc:
                 if not self.elastic:
-                    self._teardown()
+                    for conn in conns:
+                        conn.sock.close()
                     raise
                 unreachable.append(exc)
-                continue
-            self._adopt(conn)
-        if not self._conns:
-            self._teardown()
+        if not conns:
             raise unreachable[-1]  # every address failed; elastic needs one
         for exc in unreachable:
             logger.warning("elastic pool: %s; will keep rescanning", exc)
+        return conns
+
+    def _drain(self, timeout: float):
+        self._rescan()
+        return super()._drain(timeout)
 
     def _rescan(self) -> None:
         """Elastic membership: reconnect roster addresses with no live
@@ -535,262 +354,6 @@ class RemoteBackend(WorkerPoolBackend):
                 continue
             self._adopt(conn)
             logger.info("elastic pool: worker %s joined", conn.label)
-
-    def _update_interest(self, worker: int) -> None:
-        """Sync one connection's selector registration with its state
-        (read always; write only while its outbox holds queued frames)."""
-        conn = self._conns[worker]
-        if self._selector is None or not conn.alive:
-            return
-        try:
-            if conn.sock.fileno() < 0:
-                return
-            events = selectors.EVENT_READ
-            if conn.outbox:
-                events |= selectors.EVENT_WRITE
-            if conn.interest == events:
-                return
-            if conn.interest:
-                self._selector.modify(conn.sock, events, worker)
-            else:
-                self._selector.register(conn.sock, events, worker)
-            conn.interest = events
-        except (KeyError, ValueError, OSError):
-            pass  # a raced-away descriptor is reaped on the next drain
-
-    def _send(self, worker: int, message: tuple) -> None:
-        conn = self._conns[worker]
-        if not conn.alive:
-            raise _WorkerDied(worker)
-        t0 = time.perf_counter()
-        frame = _encode_frame(message)
-        self._serialize_s += time.perf_counter() - t0
-        # Queue-and-flush, never block: whatever the socket buffer
-        # refuses right now rides in the outbox until the event loop
-        # sees the socket writable.  A worker that stops draining its
-        # socket surfaces as dead once its outbox stalls for
-        # ``send_timeout`` — crash recovery can only fire on an error.
-        conn.outbox += frame
-        self._bytes_out += len(frame)
-        if not self._flush(worker):
-            raise _WorkerDied(worker)
-
-    def _flush(self, worker: int) -> bool:
-        """Push a connection's outbox as far as the socket allows.
-        Returns False when the flush killed the worker."""
-        conn = self._conns[worker]
-        if not conn.alive:
-            return False
-        now = time.monotonic()
-        while conn.outbox:
-            try:
-                sent = conn.sock.send(memoryview(conn.outbox))
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError:
-                self._worker_died(worker)
-                return False
-            if sent == 0:
-                break
-            del conn.outbox[:sent]
-            conn.outbox_since = now  # progress resets the stall clock
-        if not conn.outbox:
-            conn.outbox_since = None
-        elif conn.outbox_since is None:
-            conn.outbox_since = now
-        elif now - conn.outbox_since > self.send_timeout:
-            logger.warning(
-                "remote worker %s stopped draining its socket for %.0fs "
-                "with %d byte(s) queued; declaring it dead",
-                conn.label, self.send_timeout, len(conn.outbox),
-            )
-            self._worker_died(worker)
-            return False
-        self._update_interest(worker)
-        return True
-
-    # ------------------------------------------------------------------
-    def _blocking_frame(self, conn: _Connection):
-        """One frame during the (blocking) handshake phase."""
-        conn.sock.settimeout(self.connect_timeout)
-        return _recv_frame(conn.sock)
-
-    def _worker_died(self, worker: int) -> None:
-        conn = self._conns[worker]
-        if not conn.alive:
-            return
-        conn.alive = False
-        if self._selector is not None:
-            try:
-                self._selector.unregister(conn.sock)
-            except (KeyError, ValueError, OSError):
-                pass  # never registered, or its fd is already gone
-        conn.interest = 0
-        conn.outbox = bytearray()
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
-        # _forget_worker logs the lost shard ids; this names the remote
-        # endpoint and what's left of the pool.
-        logger.warning(
-            "remote worker %s disconnected; %d worker(s) remain",
-            conn.label, sum(1 for c in self._conns if c.alive),
-        )
-        self._forget_worker(worker)
-
-    def _drain(self, timeout: float) -> list[ShardOutcome]:
-        """One event-loop turn: rescan (elastic), flush writable
-        outboxes, read whatever the live workers sent within
-        ``timeout``."""
-        outcomes: list[ShardOutcome] = []
-        self._rescan()
-        # A socket can become invalid under us (closed by a signal
-        # handler, torn down by a test's partition simulation): treat
-        # that exactly like a death noticed via EOF.
-        for worker, conn in enumerate(self._conns):
-            if conn.alive and conn.sock.fileno() < 0:
-                self._worker_died(worker)
-        if self._selector is None or not any(c.alive for c in self._conns):
-            return outcomes
-        try:
-            events = self._selector.select(timeout)
-        except (OSError, ValueError):
-            # A descriptor went bad between the fileno() sweep and the
-            # select: reap it on the next pass.
-            return outcomes
-        for key, mask in events:
-            worker = key.data
-            conn = self._conns[worker]
-            if not conn.alive:
-                continue
-            if mask & selectors.EVENT_WRITE and not self._flush(worker):
-                continue
-            if not mask & selectors.EVENT_READ:
-                continue
-            try:
-                chunk = conn.sock.recv(1 << 20)
-            except (BlockingIOError, InterruptedError):
-                continue
-            except OSError:
-                chunk = b""
-            if not chunk:
-                # EOF / reset: the worker is gone; disown its shards.
-                self._worker_died(worker)
-                continue
-            self._bytes_in += len(chunk)
-            conn.buffer.extend(chunk)
-            messages, corrupt = self._parse_buffer(conn)
-            for message in messages:
-                outcome = self._handle(message)
-                if outcome is not None:
-                    outcomes.append(outcome)
-            if corrupt:
-                # Framing is lost for good: nothing after this header
-                # can be parsed, so the worker's in-flight shards would
-                # never return.  Treat it exactly like a dead socket.
-                logger.warning(
-                    "remote worker %s sent a frame header over the "
-                    "%d-byte limit; declaring it dead",
-                    conn.label, _MAX_FRAME,
-                )
-                self._worker_died(worker)
-        # Age out wedged outboxes even when their sockets never turn
-        # writable (the peer advertises no window at all).
-        now = time.monotonic()
-        for worker, conn in enumerate(self._conns):
-            if (conn.alive and conn.outbox and conn.outbox_since is not None
-                    and now - conn.outbox_since > self.send_timeout):
-                self._flush(worker)  # last chance; kills on stall
-        return outcomes
-
-    @staticmethod
-    def _parse_buffer(conn: _Connection) -> tuple[list, bool]:
-        """Complete frames buffered so far, and whether the next header
-        is corrupt (longer than ``_MAX_FRAME``)."""
-        messages = []
-        buffer = conn.buffer
-        while len(buffer) >= _HEADER.size:
-            (length,) = _HEADER.unpack(buffer[:_HEADER.size])
-            if length > _MAX_FRAME:
-                return messages, True
-            if len(buffer) < _HEADER.size + length:
-                break
-            payload = bytes(buffer[_HEADER.size:_HEADER.size + length])
-            del buffer[:_HEADER.size + length]
-            messages.append(pickle.loads(payload))
-        return messages, False
-
-    # ------------------------------------------------------------------
-    def poll(self) -> list[ShardOutcome]:
-        if not self._conns:
-            return []
-        return self._drain(0.0)
-
-    def wait(self, poll_interval: float = 0.2) -> list[ShardOutcome]:
-        """Wait up to one ``poll_interval`` for finished shards.
-
-        May return an empty list: the scheduler uses each quiet beat
-        to reap lost shards (``take_lost``), steal straggler tails,
-        and let an elastic pool's rescan admit joiners.  Raises
-        :class:`NoLiveWorkersError` once nobody is left to wait for —
-        never hangs on a dead pool.
-        """
-        outcomes = self._drain(poll_interval)
-        if outcomes or self._lost:
-            return outcomes
-        if not self._live_workers():
-            raise NoLiveWorkersError(
-                f"all {len(self._conns)} remote worker(s) disconnected "
-                f"with {len(self._dispatch)} shard(s) in flight"
-            )
-        return []
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Graceful shutdown: tell every live worker to stop, disconnect."""
-        for worker, conn in enumerate(self._conns):
-            if not conn.alive:
-                continue
-            try:
-                self._send(worker, ("stop",))
-            except _WorkerDied:
-                continue
-        self._teardown()
-
-    def terminate(self) -> None:
-        """Hard shutdown: drop the connections (interrupt path).
-
-        Workers notice the EOF, abandon the session, and — unless
-        launched with ``--serve-forever`` — exit.
-        """
-        self._teardown()
-
-    def _teardown(self) -> None:
-        for conn in self._conns:
-            if conn.alive:
-                try:
-                    conn.sock.close()
-                except OSError:
-                    pass
-        if self._selector is not None:
-            try:
-                self._selector.close()
-            except OSError:
-                pass
-            self._selector = None
-        self._conns = []
-        self._init_pool()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, *exc):
-        if exc_type is None:
-            self.close()
-        else:
-            self.terminate()
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

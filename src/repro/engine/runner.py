@@ -1,4 +1,4 @@
-"""Sweep job execution: backends, sharding, and the Runner.
+"""Sweep job execution: sharding, the serial backend, and the Runner.
 
 The runner walks a :class:`~repro.engine.sweep.SweepSpec`'s job list,
 compiles each unique circuit exactly once through the
@@ -7,27 +7,23 @@ Monte-Carlo sampling through the cross-job shard scheduler
 (:mod:`repro.engine.scheduler`) over a pluggable backend:
 
 - :class:`SerialBackend` runs every shot shard in-process;
-- :class:`MultiprocessBackend` fans shards out over worker processes
-  with per-worker task queues, priming each worker at most once per
-  unique circuit (circuit text, both DEM payloads, MWPM distance
-  matrices) — shard messages carry only ``(circuit key, decoder,
-  sampler, shots, seed)``, never the circuit text or a DEM payload;
-- :class:`repro.engine.remote.RemoteBackend` speaks the same worker
-  protocol over TCP sockets to ``repro-worker`` processes on other
-  machines.
+- :class:`~repro.engine.pool.MultiprocessBackend` fans shards out over
+  local worker processes, and
+  :class:`~repro.engine.remote.RemoteBackend` over ``repro-worker``
+  processes on other machines.  Both are one worker pool
+  (:mod:`repro.engine.pool`): every worker runs the same loop
+  (:mod:`repro.engine.worker`) over one socket, is primed at most once
+  per unique circuit (circuit text, both DEM payloads, MWPM distance
+  matrices), and afterwards receives only ``(circuit key, decoder,
+  sampler, shots, seed)`` shard messages.  A dead worker does not
+  kill the sweep: its in-flight shards are disowned into a lost list
+  the scheduler reaps (``take_lost``) and resubmits to survivors with
+  their original seeds.
 
-The pool backends share :class:`WorkerPoolBackend` (submit-side
-priming / dispatch / crash-recovery bookkeeping) and their workers
-share :class:`ShardExecutor` (worker-side circuit / decoder / sampler
-state), so the transports differ only in how bytes move.  A dead
-worker no longer kills the sweep: its in-flight shards are disowned
-into a lost list the scheduler reaps (``take_lost``) and resubmits to
-survivors with their original seeds.
-
-Both consume the *same* shard plan: a job's shots are split into
-fixed-size shards, and shard ``i`` samples from an independent RNG
-stream spawned via ``np.random.SeedSequence`` from the sweep's master
-seed and the job key.  Fixed-shot failure totals are therefore
+Every backend consumes the *same* shard plan: a job's shots are split
+into fixed-size shards, and shard ``i`` samples from an independent
+RNG stream spawned via ``np.random.SeedSequence`` from the sweep's
+master seed and the job key.  Fixed-shot failure totals are therefore
 bit-identical across backends and across worker counts — parallelism
 changes only where a shard runs, never what it samples.  Adaptive jobs
 (``target_failures`` set) trade that equivalence for early stopping:
@@ -38,14 +34,8 @@ freed capacity in unconverged design points.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
-import multiprocessing
-import os
-import queue as queue_module
-import signal
 import time
-import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,23 +44,17 @@ from ..arch.wiring import wiring_by_name
 from ..codes import make_code
 from ..core.compiler import CompilerConfig, QccdCompiler
 from ..core.stim_export import program_to_circuit
-from ..decoders.graph import DetectorGraph
-from ..ler.estimator import make_decoder
 from ..noise.parameters import DEFAULT_NOISE, NoiseParameters
 from ..sim.circuit import StabilizerCircuit
-from ..sim.dem_sampler import DemSampler, PackedShard
-from ..sim.frame import FrameSimulator
-from ..sim.text_format import circuit_from_text
-from ..telemetry import configure as configure_telemetry
 from ..telemetry import get as active_telemetry
-from ..telemetry import span
-from .cache import CompilationCache, CompiledCircuit, dem_from_jsonable, dem_to_jsonable
+from .cache import CompilationCache, CompiledCircuit
+from .pool import MultiprocessBackend
 from .progress import make_progress
 from .results import JobResult, ResultStore, ShardRecord
 from .scheduler import JobState, ShardOutcome, ShardTask, StreamScheduler
 from .sweep import SweepJob, SweepSpec
+from .worker import Shard, sample_shard
 
-logger = logging.getLogger(__name__)
 
 DEFAULT_SHARD_SHOTS = 2048
 
@@ -93,26 +77,6 @@ def ordered_phases(phases: dict) -> list[str]:
 # ----------------------------------------------------------------------
 # Shard planning
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Shard:
-    """A fixed slice of one job's shot budget with its own RNG stream.
-
-    A shard may be a *window* of a larger planned shard (work stealing
-    re-shards a straggler's tranche): ``parent_shots`` is then the
-    planned shard's full shot count and ``offset`` this window's first
-    row within it.  The window re-draws the **whole** parent sample
-    from the same seed and decodes only its own rows — per-row samples
-    and per-row failures are independent of how the batch is split, so
-    the windows' failure counts sum to exactly the parent's.
-    """
-
-    index: int
-    shots: int
-    seed: np.random.SeedSequence
-    offset: int = 0
-    parent_shots: int | None = None
-
-
 def plan_shards(
     shots: int,
     shard_shots: int,
@@ -139,80 +103,6 @@ def plan_shards(
         shards.append(Shard(index=i, shots=take, seed=child))
         remaining -= take
     return shards
-
-
-def sample_shard(
-    circuit: StabilizerCircuit,
-    decoder,
-    shard: Shard,
-    sampler: DemSampler | None = None,
-) -> tuple[int, tuple[int, int, int], dict | None]:
-    """Sample one shard and count its logical failures.
-
-    The shard flows packed end to end: a :class:`DemSampler` emits
-    :class:`~repro.sim.dem_sampler.PackedShard` words directly (fast
-    path, no unpack), while the :class:`FrameSimulator` reference path
-    packs its boolean output once at this boundary.  Either way the
-    decoder consumes the uint64 words via ``logical_failures_packed``
-    and the shard's ``SeedSequence`` fully determines the draw.
-
-    Returns ``(failures, (memo_hits, memo_misses, memo_size), phases)``
-    — the shard's own syndrome-memo traffic and, when telemetry is
-    enabled, its per-phase exclusive seconds (sample /
-    unique / memo / decode / scatter, plus ``other`` for the residue
-    between the instrumented phases and the shard's wall clock).
-    ``phases`` is ``None`` with telemetry off — the hot path stays
-    allocation-free.
-    """
-    telemetry = active_telemetry()
-    enabled = telemetry.enabled
-    phases0 = telemetry.phase_snapshot() if enabled else None
-    draw_shots = (
-        shard.parent_shots if shard.parent_shots is not None else shard.shots
-    )
-    if shard.offset < 0 or shard.offset + shard.shots > draw_shots:
-        raise ValueError(
-            f"shard window [{shard.offset}, {shard.offset + shard.shots}) "
-            f"outside parent draw of {draw_shots} shots"
-        )
-    with telemetry.span("shard"):
-        with telemetry.span("sample"):
-            if sampler is not None:
-                packed = sampler.sample_packed(draw_shots, seed=shard.seed)
-            else:
-                sample = FrameSimulator(circuit, seed=shard.seed).sample(
-                    draw_shots
-                )
-                packed = PackedShard.from_bool(
-                    sample.detectors, sample.observables
-                )
-            if shard.parent_shots is not None and (
-                shard.offset or shard.shots != draw_shots
-            ):
-                lo, hi = shard.offset, shard.offset + shard.shots
-                packed = PackedShard(
-                    packed.det_words[lo:hi], packed.obs_words[lo:hi],
-                    packed.num_detectors, packed.num_observables,
-                )
-        memo = decoder.syndrome_memo()
-        hits0, misses0, _ = memo.snapshot()
-        failures = int(
-            decoder.logical_failures_packed(
-                packed.det_words, packed.obs_words
-            ).sum()
-        )
-        hits1, misses1, size = memo.snapshot()
-    memo_stats = (hits1 - hits0, misses1 - misses0, size)
-    if not enabled:
-        return failures, memo_stats, None
-    phases = telemetry.phase_delta(phases0)
-    # The "shard" span's exclusive time is whatever the instrumented
-    # phases did not cover (packing, memo snapshots, glue): surface it
-    # as "other" so per-shard phases still sum to shard wall clock.
-    residue = phases.pop("shard", 0.0)
-    if residue > 0.0:
-        phases["other"] = phases.get("other", 0.0) + residue
-    return failures, memo_stats, phases
 
 
 # ----------------------------------------------------------------------
@@ -297,678 +187,6 @@ class SerialBackend:
 
     def __exit__(self, exc_type, *exc):
         pass
-
-
-class NoLiveWorkersError(RuntimeError):
-    """Every worker of a pool backend is dead.
-
-    Raised instead of hanging when a sweep still has shards to run but
-    the pool has no survivor to run them on — the caller sees a clear
-    failure within one poll interval, never a silent stall.
-    """
-
-
-class _WorkerDied(Exception):
-    """Internal: a transport send hit a dead worker (already disowned);
-    the submit loop retries on a survivor."""
-
-
-class ShardExecutor:
-    """Worker-side shard execution state.
-
-    Holds the circuits this worker was primed with and the decoders /
-    samplers built from them (lazily, at most once per circuit).
-    Shared by the multiprocessing worker loop and the socket worker
-    (``repro-worker``): both feed it the same prime / dmat / shard
-    messages and differ only in transport.  Every worker process runs
-    one shard at a time, so each (circuit, decoder) pair has exactly
-    one decoder, which owns its syndrome memo; the memo never leaves
-    the worker.
-    """
-
-    def __init__(self):
-        self._circuits: dict[str, tuple] = {}
-        # (circuit_key, decoder_name) -> decoder instance (and its memo).
-        self._decoders: dict[tuple[str, str], object] = {}
-        self._samplers: dict[str, DemSampler] = {}
-
-    def prime(self, circuit_key, circuit_text, dem_data, sdem_data, dmat) -> None:
-        circuit = circuit_from_text(circuit_text)
-        graph = DetectorGraph.from_dem(dem_from_jsonable(dem_data))
-        if dmat is not None:
-            # Parent-cached all-pairs matrices: this worker's MWPM
-            # decoder skips its own Dijkstra.
-            graph.set_shortest_paths(*dmat)
-        self._circuits[circuit_key] = (circuit, graph, dem_from_jsonable(sdem_data))
-
-    def set_dmat(self, circuit_key, dmat) -> None:
-        # Late distance-matrix delivery: the circuit was primed by a
-        # non-MWPM shard, and an MWPM shard is now on its way.
-        entry = self._circuits.get(circuit_key)
-        if entry is not None and (circuit_key, "mwpm") not in self._decoders:
-            try:
-                entry[1].set_shortest_paths(*dmat)
-            except ValueError:
-                pass  # shape mismatch: let the decoder compute its own
-
-    def run(
-        self, circuit_key, decoder_name, sampler_name, shots, seed,
-        offset: int = 0, parent_shots: int | None = None,
-    ):
-        """Sample one shard; returns ``(failures, memo_stats, phases)``."""
-        entry = self._circuits.get(circuit_key)
-        if entry is None:
-            raise RuntimeError(
-                f"shard for unprimed circuit {circuit_key[:12]}…: "
-                "priming protocol violated"
-            )
-        circuit, graph, sampling_dem = entry
-        decoder = self._decoders.get((circuit_key, decoder_name))
-        if decoder is None:
-            decoder = make_decoder(graph, decoder_name)
-            self._decoders[(circuit_key, decoder_name)] = decoder
-        sampler = None
-        if sampler_name == "dem":
-            sampler = self._samplers.get(circuit_key)
-            if sampler is None:
-                sampler = self._samplers[circuit_key] = DemSampler(sampling_dem)
-        return sample_shard(
-            circuit, decoder,
-            Shard(0, shots, seed, offset=offset, parent_shots=parent_shots),
-            sampler=sampler,
-        )
-
-
-def handle_worker_message(executor: ShardExecutor, message: tuple):
-    """Process one driver message; returns the reply tuple or ``None``.
-
-    The request/reply state machine shared by both worker transports:
-    ``prime`` / ``dmat`` update the executor (priming errors are
-    reported with ``seq=None``), ``config`` applies worker-side
-    settings (today only the telemetry switch), ``shard`` samples and
-    replies; ``stop`` is the caller's business.
-
-    A shard message is always ``("shard", seq, circuit_key, decoder,
-    sampler, shots, seed, epoch, offset, parent_shots)``;
-    ``parent_shots`` is ``None`` for a whole planned shard and set for
-    a stolen *window* of one.  Every reply has one shape,
-    ``(kind, seq, value, elapsed_s, epoch, memo, phases)``: ``kind``
-    is ``"ok"`` (``value`` = failures, ``memo`` = the shard's
-    ``(hits, misses, size)``) or ``"error"`` (``value`` = traceback,
-    ``memo`` = ``None``); ``phases`` is the per-phase seconds dict or
-    ``None`` with telemetry off.
-    """
-    kind = message[0]
-    if kind == "prime":
-        _, circuit_key, circuit_text, dem_data, sdem_data, dmat, epoch = message
-        try:
-            executor.prime(circuit_key, circuit_text, dem_data, sdem_data, dmat)
-        except BaseException:
-            return ("error", None, traceback.format_exc(), 0.0, epoch,
-                    None, None)
-        return None
-    if kind == "dmat":
-        _, circuit_key, dmat, epoch = message
-        executor.set_dmat(circuit_key, dmat)
-        return None
-    if kind == "config":
-        # Driver-controlled worker settings.  Settings are per-driver
-        # state: a serve-forever worker gets a fresh ``config`` (or
-        # none — all off) per session.
-        _, settings = message
-        configure_telemetry(enabled=bool(settings.get("telemetry", False)))
-        return None
-    (_, seq, circuit_key, decoder_name, sampler_name, shots, seed,
-     epoch, offset, parent_shots) = message
-    try:
-        t0 = time.perf_counter()
-        failures, memo, phases = executor.run(
-            circuit_key, decoder_name, sampler_name, shots, seed,
-            offset=offset, parent_shots=parent_shots,
-        )
-        elapsed = time.perf_counter() - t0
-        return ("ok", seq, failures, elapsed, epoch, memo, phases)
-    except BaseException:
-        return ("error", seq, traceback.format_exc(), 0.0, epoch, None, None)
-
-
-def _worker_main(task_queue, result_queue) -> None:
-    """Worker-process loop: prime once per circuit, then sample shards.
-
-    Ctrl-C is the parent's business: a SIGINT delivered to the whole
-    foreground group must not kill workers mid-task — the parent
-    decides when to terminate them.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    executor = ShardExecutor()
-    while True:
-        message = task_queue.get()
-        if message[0] == "stop":
-            break
-        reply = handle_worker_message(executor, message)
-        if reply is not None:
-            result_queue.put(reply)
-
-
-class WorkerPoolBackend:
-    """Submit-side machinery shared by the worker-pool backends.
-
-    The multiprocessing and socket (remote) backends dispatch identical
-    messages — ``prime`` (at most once per (worker, circuit): circuit
-    text, both DEM payloads, MWPM distance matrices), late ``dmat``
-    delivery, ``config`` (only when telemetry is on), tiny
-    payload-free ``shard`` tuples, ``stop`` — and receive the
-    fixed-shape replies of :func:`handle_worker_message`.  Driver and
-    workers ship in one package, so there is exactly one message
-    format and no per-worker feature gating.  This base owns the
-    bookkeeping: priming state,
-    per-worker load, the seq -> worker dispatch map, abandoned-sweep
-    epochs, and **crash recovery** — a dead worker's in-flight shards
-    are disowned into a lost list that the scheduler reaps via
-    ``take_lost()`` and resubmits to survivors.
-
-    Subclasses provide the transport: ``_ensure_workers`` (start /
-    connect the pool), ``_live_workers`` (surviving worker indices),
-    ``_live_worker_count`` (pool size for the capacity hint) and ``_send``
-    (deliver one message, raising :class:`_WorkerDied` after disowning
-    a worker that cannot receive it).
-    """
-
-    name = "pool"
-    queue_depth: int = 2
-
-    def _init_pool(self) -> None:
-        self._load: list[int] = []
-        self._primed: set[tuple[int, str]] = set()
-        # (worker, circuit) pairs whose prime included the MWPM
-        # distance matrices (or received them in a late "dmat" send).
-        self._dmat_primed: set[tuple[int, str]] = set()
-        self._dem_json: dict[str, tuple] = {}
-        # task seq -> (worker index, job key, shots, dispatch time)
-        self._dispatch: dict[int, tuple[int, str, int, float]] = {}
-        # Workers that received this driver's ("config", ...) settings.
-        self._configured: set[int] = set()
-        # Pool-health bookkeeping: per-worker result stats, keyed by
-        # worker index (labels resolve via _worker_label on export).
-        self._wstats: dict[int, dict] = {}
-        self._crashes = 0
-        self._resubmitted = 0
-        # Shards disowned because their worker died, awaiting a
-        # take_lost() reap by the scheduler.
-        self._lost: list[int] = []
-        # Every seq disowned this epoch: a late result for one (queued
-        # by a worker just before it died, possibly racing its own
-        # resubmission) is dropped, or — if the resubmitted copy is in
-        # flight — counted once in its place.
-        self._forgotten: set[int] = set()
-        # Bumped by abandon_pending(): results echo the epoch they were
-        # submitted under, so shards of an aborted sweep can never be
-        # attributed to a later sweep sharing this backend.
-        self._epoch = 0
-
-    # transport hooks ---------------------------------------------------
-    def _ensure_workers(self) -> None:
-        raise NotImplementedError
-
-    def _live_workers(self) -> list[int]:
-        raise NotImplementedError
-
-    def _live_worker_count(self) -> int:
-        """Live workers (the capacity hint); before the pool starts,
-        the number it will start with."""
-        raise NotImplementedError
-
-    def _send(self, worker: int, message: tuple) -> None:
-        raise NotImplementedError
-
-    def _worker_label(self, worker: int) -> str:
-        """Stable human-readable worker identity for logs, traces and
-        pool health (``host:port`` for remote, ``mp:N`` for local)."""
-        return f"{self.name}:{worker}"
-
-    # ------------------------------------------------------------------
-    @property
-    def capacity(self) -> int:
-        """Tasks the backend wants in flight: a small per-worker queue
-        keeps every worker busy without hoarding shards an adaptive
-        job may never need.  Shrinks as workers die."""
-        return max(1, self._live_worker_count()) * self.queue_depth
-
-    def supports_windows(self) -> bool:
-        """Every pool worker runs windowed (stolen) sub-shards — the
-        scheduler's steal-eligibility probe."""
-        return True
-
-    def stale_pending(self) -> list[int]:
-        """In-flight task seqs old enough to be straggler suspects,
-        oldest dispatch first.
-
-        "Old enough" is self-tuning: a task qualifies once its
-        dispatch age exceeds twice the fastest worker's observed mean
-        shard time (floored at 0.25 s), so a freshly submitted stream
-        is never stolen from at t=0 — a sweep smaller than pool
-        capacity would otherwise be split instantly, duplicating work
-        for nothing — while a genuine straggler qualifies within a
-        couple of normal shard durations.  Before any shard has
-        completed there is no notion of "normal", so nothing
-        qualifies."""
-        means = [
-            stats["busy_s"] / stats["shards"]
-            for stats in self._wstats.values() if stats["shards"]
-        ]
-        if not means:
-            return []
-        threshold = max(0.25, 2.0 * min(means))
-        now = time.perf_counter()
-        stale = [
-            seq for seq, entry in self._dispatch.items()
-            if now - entry[3] > threshold
-        ]
-        return sorted(stale, key=lambda seq: self._dispatch[seq][3])
-
-    def submit(
-        self, task: ShardTask, compiled: CompiledCircuit, cache: CompilationCache
-    ) -> None:
-        self._ensure_workers()
-        while True:
-            live = self._live_workers()
-            if task.parent_shots is not None:
-                parent = (
-                    self._dispatch.get(task.parent_seq)
-                    if task.parent_seq is not None else None
-                )
-                if parent is not None:
-                    # A window queued behind its own still-running
-                    # parent defeats the steal: route it anywhere else
-                    # while an alternative exists.
-                    others = [w for w in live if w != parent[0]]
-                    if others:
-                        live = others
-            if not live:
-                raise NoLiveWorkersError(
-                    f"{self.name} backend: no live worker; cannot run "
-                    f"shard {task.shard_index} of job {task.job_key}"
-                )
-            worker = self._pick_worker(task.circuit_key, live)
-            try:
-                self._maybe_configure(worker)
-                self._dispatch_shard(worker, task, compiled, cache, live)
-            except _WorkerDied:
-                continue  # _send disowned the worker; try a survivor
-            self._load[worker] += 1
-            self._dispatch[task.seq] = (
-                worker, task.job_key, task.shots, time.perf_counter()
-            )
-            return
-
-    def _maybe_configure(self, worker: int) -> None:
-        """Ship this driver's settings to a worker exactly once, and
-        only when telemetry is on: the all-off path must not change
-        the wire conversation at all."""
-        if worker in self._configured:
-            return
-        self._configured.add(worker)
-        if active_telemetry().enabled:
-            self._send(worker, ("config", {"telemetry": True}))
-
-    def _dispatch_shard(self, worker, task, compiled, cache, live) -> None:
-        pair = (worker, task.circuit_key)
-        if pair not in self._primed:
-            payload = self._dem_json.get(task.circuit_key)
-            if payload is None:
-                payload = (
-                    dem_to_jsonable(compiled.dem),
-                    dem_to_jsonable(compiled.sampling_dem),
-                )
-                self._dem_json[task.circuit_key] = payload
-            dem_data, sdem_data = payload
-            # MWPM needs the all-pairs distance matrices; computing (or
-            # disk-loading) them once in the parent and shipping them
-            # in the prime saves one Dijkstra per (worker, circuit).
-            if task.decoder == "mwpm":
-                dmat = cache.distance_matrix(compiled)
-            else:
-                dmat = cache.peek_distance_matrix(task.circuit_key)
-            self._send(
-                worker,
-                ("prime", task.circuit_key, compiled.text, dem_data, sdem_data,
-                 dmat, self._epoch),
-            )
-            self._primed.add(pair)
-            if dmat is not None:
-                self._dmat_primed.add(pair)
-            if all((w, task.circuit_key) in self._primed for w in live):
-                # Every live worker holds this circuit now; the
-                # serialized DEM can never be sent again, so stop
-                # retaining it.
-                self._dem_json.pop(task.circuit_key, None)
-        elif task.decoder == "mwpm" and pair not in self._dmat_primed:
-            # The circuit was primed by a non-MWPM shard, without the
-            # distance matrices; deliver them before the MWPM shard so
-            # the worker never recomputes the Dijkstra.
-            self._send(
-                worker,
-                ("dmat", task.circuit_key, cache.distance_matrix(compiled),
-                 self._epoch),
-            )
-            self._dmat_primed.add(pair)
-        self._send(
-            worker,
-            ("shard", task.seq, task.circuit_key, task.decoder, task.sampler,
-             task.shots, task.seed, self._epoch, task.offset,
-             task.parent_shots),
-        )
-
-    def _pick_worker(self, circuit_key: str, live: list[int]) -> int:
-        """Least-loaded live worker; among ties, prefer one already
-        primed for this circuit so priming traffic stays minimal."""
-        best = live[0]
-        best_rank = None
-        for worker in live:
-            primed = (worker, circuit_key) in self._primed
-            rank = (self._load[worker], not primed)
-            if best_rank is None or rank < best_rank:
-                best, best_rank = worker, rank
-        return best
-
-    def _forget_worker(self, worker: int) -> None:
-        """Disown a dead worker: its in-flight shards join the lost
-        list (for scheduler resubmission) and its priming state is
-        dropped so nothing is ever routed to it again."""
-        lost = [
-            seq for seq, entry in self._dispatch.items() if entry[0] == worker
-        ]
-        for seq in lost:
-            del self._dispatch[seq]
-            self._forgotten.add(seq)
-        self._lost.extend(lost)
-        self._crashes += 1
-        self._resubmitted += len(lost)
-        logger.warning(
-            "worker %s died with %d shard(s) in flight%s",
-            self._worker_label(worker), len(lost),
-            f" (lost shard seqs: {lost})" if lost else "",
-        )
-        if worker < len(self._load):
-            self._load[worker] = 0
-        self._configured.discard(worker)
-        self._primed = {pair for pair in self._primed if pair[0] != worker}
-        self._dmat_primed = {
-            pair for pair in self._dmat_primed if pair[0] != worker
-        }
-
-    def take_lost(self) -> list[int]:
-        """Drain the seqs of shards lost to dead workers (scheduler
-        crash-recovery protocol)."""
-        lost, self._lost = self._lost, []
-        return lost
-
-    def _handle(self, message) -> ShardOutcome | None:
-        kind, seq, value, elapsed_s, epoch, memo, phases = message
-        # A worker left enabled by an earlier driver must not leak
-        # phases into a telemetry-off run, so gate on our own setting.
-        if not active_telemetry().enabled:
-            phases = None
-        if epoch != self._epoch:
-            return None  # shard of an abandoned sweep: silently drop
-        dispatched = self._dispatch.pop(seq, None)
-        if dispatched is None and seq in self._forgotten:
-            # Disowned when its worker died: either the result beat the
-            # death notice through a shared queue, or the resubmitted
-            # copy already landed.  Shards are seed-deterministic, so
-            # whichever copy is counted first is the answer; this one
-            # is surplus.
-            return None
-        if dispatched is not None:
-            worker, job_key, shots, t_sent = dispatched
-            self._load[worker] -= 1
-            self._record_result_stats(worker, float(elapsed_s), t_sent)
-        if kind == "error":
-            raise RuntimeError(f"worker shard failed:\n{value}")
-        if dispatched is None:
-            raise RuntimeError(f"result for unknown shard task {seq}")
-        return ShardOutcome(
-            seq, job_key, shots, int(value), float(elapsed_s), *memo,
-            phases=phases, worker=self._worker_label(worker),
-        )
-
-    def _record_result_stats(
-        self, worker: int, busy_s: float, t_sent: float
-    ) -> None:
-        now = time.perf_counter()
-        stats = self._wstats.get(worker)
-        if stats is None:
-            stats = self._wstats[worker] = {
-                "shards": 0, "busy_s": 0.0, "overhead_s": 0.0,
-                "last_heard": now,
-            }
-        stats["shards"] += 1
-        stats["busy_s"] += busy_s
-        # Round-trip minus on-worker execution: queue wait behind the
-        # worker's other shards plus (for remote) wire/serialize time.
-        stats["overhead_s"] += max(0.0, (now - t_sent) - busy_s)
-        stats["last_heard"] = now
-
-    def pool_health(self) -> dict:
-        """Driver-side pool snapshot: per-worker utilisation (shards
-        done, on-worker busy seconds, queue/wire overhead, in-flight
-        count, heartbeat age) plus pool-wide crash/resubmit counts and
-        any transport-level extras (wire bytes for the remote pool)."""
-        now = time.perf_counter()
-        workers = {}
-        for worker in sorted(self._wstats):
-            stats = self._wstats[worker]
-            workers[self._worker_label(worker)] = {
-                "shards": stats["shards"],
-                "busy_s": stats["busy_s"],
-                "overhead_s": stats["overhead_s"],
-                "inflight": (
-                    self._load[worker] if worker < len(self._load) else 0
-                ),
-                "heartbeat_age_s": now - stats["last_heard"],
-            }
-        health = {
-            "workers": workers,
-            "crashes": self._crashes,
-            "resubmitted_shards": self._resubmitted,
-        }
-        health.update(self._transport_stats())
-        return health
-
-    def _transport_stats(self) -> dict:
-        """Pool-wide transport extras merged into :meth:`pool_health`."""
-        return {}
-
-    def abandon_pending(self) -> None:
-        """Disown every in-flight shard (aborted-sweep recovery).
-
-        Workers will still finish the abandoned shards, but their
-        results arrive tagged with the old epoch and are dropped — a
-        later sweep sharing this backend can never absorb them.
-        """
-        self._epoch += 1
-        for worker, _job_key, _shots, _t_sent in self._dispatch.values():
-            if worker < len(self._load):
-                self._load[worker] -= 1
-        self._dispatch.clear()
-        self._lost = []
-        self._forgotten = set()
-
-    def begin_session(self) -> None:
-        """Fence off a new sweep's results from an older sweep's.
-
-        Called by the scheduler when it attaches to this backend.  Task
-        sequence numbers restart at zero per scheduler, so without a
-        fresh epoch a *surplus* result left over from a previous sweep
-        on a shared backend (a dead worker's duplicate, still sitting
-        in the shared result queue) could be credited to this sweep's
-        same-numbered shard.  Bumping the epoch makes every stale
-        message identifiable and droppable.
-        """
-        self.abandon_pending()
-
-
-class MultiprocessBackend(WorkerPoolBackend):
-    """Fans shot shards out over worker processes with per-worker queues.
-
-    Unlike a ``Pool``, the parent controls exactly which worker runs
-    which shard, so it can *prime* each worker with a circuit's text
-    and DEM payload at most once (``prime`` message) and afterwards
-    send only tiny ``(key, decoder, sampler, shots, seed)`` shard
-    messages.
-    Results stream back over a shared queue that the parent polls with
-    an interruptible timed wait — SIGINT reaches the parent promptly
-    instead of languishing behind a blocking ``pool.map``.  A worker
-    that dies (OOM kill, SIGKILL, segfault) does not kill the sweep:
-    its in-flight shards are disowned for the scheduler to resubmit to
-    the survivors.
-    """
-
-    name = "multiprocess"
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        start_method: str | None = None,
-        queue_depth: int = 2,
-    ):
-        self.max_workers = max_workers if max_workers else (os.cpu_count() or 2)
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be positive")
-        self.queue_depth = queue_depth
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
-        self._procs: list = []
-        self._task_queues: list = []
-        self._result_queue = None
-        self._dead: set[int] = set()
-        self._init_pool()
-
-    # ------------------------------------------------------------------
-    def _worker_label(self, worker: int) -> str:
-        return f"mp:{worker}"
-
-    def _live_worker_count(self) -> int:
-        if not self._procs:
-            return self.max_workers
-        return len(self._procs) - len(self._dead)
-
-    def _ensure_workers(self) -> None:
-        if self._procs:
-            return
-        self._result_queue = self._ctx.Queue()
-        for _ in range(self.max_workers):
-            task_queue = self._ctx.Queue()
-            proc = self._ctx.Process(
-                target=_worker_main,
-                args=(task_queue, self._result_queue),
-                daemon=True,
-            )
-            proc.start()
-            self._procs.append(proc)
-            self._task_queues.append(task_queue)
-            self._load.append(0)
-
-    def _live_workers(self) -> list[int]:
-        self._reap_dead()
-        return [w for w in range(len(self._procs)) if w not in self._dead]
-
-    def _reap_dead(self) -> None:
-        """Notice dead worker processes and disown their shards."""
-        for worker, proc in enumerate(self._procs):
-            if worker not in self._dead and not proc.is_alive():
-                self._dead.add(worker)
-                self._forget_worker(worker)
-
-    def _send(self, worker: int, message: tuple) -> None:
-        """Single dispatch point for worker messages (tests hook this
-        to count priming traffic)."""
-        self._task_queues[worker].put(message)
-
-    # ------------------------------------------------------------------
-    def poll(self) -> list[ShardOutcome]:
-        outcomes = []
-        if self._result_queue is None:
-            return outcomes
-        while True:
-            try:
-                message = self._result_queue.get_nowait()
-            except queue_module.Empty:
-                return outcomes
-            outcome = self._handle(message)
-            if outcome is not None:
-                outcomes.append(outcome)
-
-    def wait(self, poll_interval: float = 0.2) -> list[ShardOutcome]:
-        """Wait up to one ``poll_interval`` for a shard to finish.
-
-        The timed ``get`` keeps the parent interruptible: a SIGINT
-        lands between polls instead of hanging until a whole job's
-        ``map`` returns.  Returns an empty list after one quiet
-        interval — the scheduler uses the beat to reap lost shards,
-        steal straggler tails, and rescan elastic pools, and only
-        treats emptiness as a stall when nothing is in flight at all.
-        """
-        try:
-            message = self._result_queue.get(timeout=poll_interval)
-        except queue_module.Empty:
-            self._reap_dead()
-            if not self._lost and self._procs and \
-                    len(self._dead) == len(self._procs):
-                # No survivor can ever produce a result; the usual
-                # surfacing point is submit() on the scheduler's
-                # resubmission attempt, but if wait() is reached
-                # first it must raise too, never spin.
-                raise NoLiveWorkersError(
-                    f"all {len(self._procs)} worker process(es) died"
-                )
-            return []
-        outcome = self._handle(message)
-        if outcome is None:
-            return self.poll()  # stale epoch / disowned: drain the rest
-        return [outcome] + self.poll()
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Graceful shutdown: let queued work finish, stop workers."""
-        if not self._procs:
-            return
-        for worker in range(len(self._procs)):
-            if worker not in self._dead:
-                self._send(worker, ("stop",))
-        for proc in self._procs:
-            proc.join(timeout=10)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-        self._reset()
-
-    def terminate(self) -> None:
-        """Hard shutdown: abandon in-flight shards (interrupt path)."""
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self._procs:
-            proc.join()
-        self._reset()
-
-    def _reset(self) -> None:
-        self._procs = []
-        self._task_queues = []
-        self._result_queue = None
-        self._dead = set()
-        self._init_pool()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, *exc):
-        if exc_type is None:
-            self.close()
-        else:
-            self.terminate()
 
 
 # ----------------------------------------------------------------------

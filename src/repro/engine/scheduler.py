@@ -299,10 +299,10 @@ class StreamScheduler:
         self._steals = 0
         self._stolen_shots = 0
         self._steal_windows = 0
-        # A shared backend may hold leftovers of an earlier sweep (a
-        # dead worker's surplus duplicate result in a shared queue);
-        # our seq numbers start at 0, so fence those out before any
-        # submission can collide with them.
+        # A shared backend may hold leftovers of an earlier sweep
+        # (replies to its abandoned shards); our seq numbers start at
+        # 0, so fence those out before any submission can collide
+        # with them.
         begin_session = getattr(backend, "begin_session", None)
         if begin_session is not None:
             begin_session()

@@ -15,11 +15,12 @@ Used by ``test_fault_tolerance.py`` (the chaos harness) and
   ``--slots N`` launcher forks N workers, one address each);
 - :class:`FakeWorker` — a scripted in-process stand-in that sends
   exact bytes (a wrong hello, a corrupt frame header);
-- :class:`StubPoolBackend` — a synchronous in-process worker pool
-  (real driver bookkeeping, real worker message handler);
+- :class:`StubPoolBackend` — an in-process worker pool (real pool
+  driver, real worker message handler, workers answered inline);
 - :func:`run_sweep_driver` / :func:`wait_for_shard_lines` — drive a
   sweep in a subprocess and watch its result store, so tests can
-  SIGKILL the driver between shards;
+  SIGKILL the driver between shards; :func:`process_running` tells
+  whether a process it started is still alive;
 - :func:`run_with_timeout` — a watchdog for "raises, never hangs"
   regressions.
 """
@@ -33,16 +34,18 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 from repro.engine import CompilationCache, NoLiveWorkersError, SerialBackend
-from repro.engine.runner import (
+from repro.engine.pool import WorkerPoolBackend, _Connection
+from repro.engine.scheduler import ShardOutcome
+from repro.engine.worker import (
     Shard,
     ShardExecutor,
-    WorkerPoolBackend,
+    _encode_frame,
     handle_worker_message,
     sample_shard,
 )
-from repro.engine.scheduler import ShardOutcome
 
 SRC_DIR = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -307,54 +310,52 @@ class FakeWorker:
         self.close()
 
 
+def _close_sockets(sockets) -> None:
+    for sock in sockets:
+        sock.close()
+
+
 class StubPoolBackend(WorkerPoolBackend):
-    """In-memory pool: real `WorkerPoolBackend` bookkeeping and the real
-    worker message handler, with a synchronous in-process transport —
-    so the config/phases wire protocol is exercised without processes.
+    """In-memory pool: the real `WorkerPoolBackend` driver (bookkeeping
+    and event loop) and the real worker message handler, with an
+    in-process fake behind each connection — so the config/phases wire
+    protocol is exercised without processes.
+
+    Each fake connection is a socket pair whose worker end is answered
+    inline: ``_send`` records the message, hands it to
+    ``handle_worker_message`` with that worker's executor, and writes
+    the reply frame to the worker end, where the driver reads it.
     """
 
     name = "stub"
 
     def __init__(self, workers: int = 2):
-        self.queue_depth = 2
-        self._workers = workers
+        super().__init__(workers)
         self._executors = [ShardExecutor() for _ in range(workers)]
-        self._replies: list[tuple] = []
+        self._worker_ends: list[socket.socket] = []
         self.sent: list[tuple[int, tuple]] = []
-        self._init_pool()
-        self._load = [0] * workers
+        # Tests seldom close a stub: its sockets go when it does.
+        self._sockets: list[socket.socket] = []
+        weakref.finalize(self, _close_sockets, self._sockets)
 
-    def _ensure_workers(self) -> None:
-        pass
-
-    def _live_workers(self) -> list[int]:
-        return list(range(self._workers))
-
-    def _live_worker_count(self) -> int:
-        return self._workers
+    def _open_connections(self):
+        conns = []
+        for worker in range(self._size):
+            driver_end, worker_end = socket.socketpair()
+            self._sockets += (driver_end, worker_end)
+            driver_end.setblocking(False)
+            self._worker_ends.append(worker_end)
+            conns.append(_Connection(f"stub:{worker}", driver_end))
+        return conns
 
     def _send(self, worker: int, message: tuple) -> None:
         self.sent.append((worker, message))
+        if message[0] == "stop":
+            self._worker_ends[worker].close()
+            return
         reply = handle_worker_message(self._executors[worker], message)
         if reply is not None:
-            self._replies.append(reply)
-
-    def poll(self):
-        outcomes = []
-        while self._replies:
-            outcome = self._handle(self._replies.pop(0))
-            if outcome is not None:
-                outcomes.append(outcome)
-        return outcomes
-
-    def wait(self):
-        return self.poll()
-
-    def close(self) -> None:
-        pass
-
-    def terminate(self) -> None:
-        pass
+            self._worker_ends[worker].sendall(_encode_frame(reply))
 
 
 def spawn_workers(n: int):
@@ -400,6 +401,23 @@ def run_sweep_driver(script: str):
     )
     assert proc.stdout.readline().strip() == "READY"
     return proc
+
+
+def process_running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie is not: it has
+    exited and waits only for its parent to reap it)."""
+    if not os.path.isdir("/proc"):
+        try:
+            os.kill(pid, 0)
+        except OSError:
+            return False
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state != "Z"
 
 
 def count_shard_lines(path: str) -> int:

@@ -927,28 +927,36 @@ class TestWorkerCrashRecovery:
         assert (state.shots_done, state.failures) == (256, 5)
 
     def test_capacity_shrinks_with_dead_workers(self):
-        backend = MultiprocessBackend(max_workers=3, queue_depth=2)
+        from repro.engine.pool import _Connection
+
+        backend = MultiprocessBackend(max_workers=3)
         assert backend.capacity == 6  # not started: configured size rules
-        backend._procs = [object(), object(), object()]  # "started"
-        backend._dead = {0}
+        backend._conns = [_Connection(f"mp:{w}", None) for w in range(3)]
+        backend._conns[0].alive = False
         assert backend.capacity == 4  # 2 survivors x queue_depth
-        backend._dead = {0, 1, 2}
+        for conn in backend._conns:
+            conn.alive = False
         assert backend.capacity == 2  # floor of one slot x queue_depth
 
+    def test_negative_worker_count_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="max_workers"):
+            MultiprocessBackend(max_workers=-1)
+        # None and 0 still mean one worker per CPU core.
+        cores = os.cpu_count() or 2
+        assert MultiprocessBackend(max_workers=None).max_workers == cores
+        assert MultiprocessBackend(max_workers=0).max_workers == cores
+
     def test_new_scheduler_fences_off_stale_session_state(self):
-        # A dead worker's surplus duplicate result can outlive its
-        # sweep in a shared backend's queue; since task seqs restart
-        # at 0 per scheduler, attaching a new scheduler must bump the
-        # epoch (so the stale message is droppable) and clear the old
-        # sweep's forgotten-seq set (so it cannot swallow new results).
+        # A reply to an abandoned shard can outlive its sweep on a
+        # shared backend's socket; since task seqs restart at 0 per
+        # scheduler, attaching a new scheduler must bump the epoch (so
+        # the stale message is droppable).
         from repro.engine import StreamScheduler
 
         backend = MultiprocessBackend(max_workers=2)
-        backend._forgotten.add(2)
         epoch = backend._epoch
         StreamScheduler(backend, cache=None)
         assert backend._epoch == epoch + 1
-        assert not backend._forgotten
 
 
 class TestProgressReporter:

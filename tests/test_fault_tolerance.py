@@ -14,10 +14,12 @@ Proves the PR's three guarantees end to end:
   them, and converges to the same result as an uninterrupted run.
 """
 
+import os
 import random
 import signal
 import socket
 import textwrap
+import time
 
 import pytest
 
@@ -28,6 +30,7 @@ from fault_helpers import (
     FlakyBackend,
     SweepAborted,
     count_shard_lines,
+    process_running,
     reap_workers,
     run_sweep_driver,
     run_with_timeout,
@@ -40,14 +43,12 @@ from repro.engine import (
     SweepSpec,
     run_sweep,
 )
-from repro.engine.remote import (
+from repro.engine.remote import RemoteBackend, parse_addr, parse_addrs
+from repro.engine.worker import (
     _HEADER,
     _MAX_FRAME,
     PROTOCOL_VERSION,
-    RemoteBackend,
     _encode_frame,
-    parse_addr,
-    parse_addrs,
 )
 
 SHOTS = 600
@@ -456,6 +457,50 @@ class TestDriverKill:
         [third] = run_sweep(SweepSpec(**spec), results_path=path,
                             shard_shots=256)
         assert third.resumed
+
+    def test_sigkilled_driver_leaves_no_local_worker(self, tmp_path):
+        # A SIGKILLed driver cannot close its local pool, so the
+        # workers must notice by themselves: each one's socket peer
+        # lives only in the driver, so they see EOF and exit.
+        path = str(tmp_path / "orphans.jsonl")
+        script = textwrap.dedent(f"""
+            from repro.engine import MultiprocessBackend, SweepSpec, run_sweep
+            backend = MultiprocessBackend(2)
+            backend._ensure_workers()
+            print("READY", flush=True)
+            print(*(proc.pid for proc in backend._procs), flush=True)
+            spec = SweepSpec(distances=(3,), rounds=2, shots=2_000_000)
+            run_sweep(spec, backend=backend, results_path={path!r},
+                      shard_shots=256)
+        """)
+        proc = run_sweep_driver(script)
+        workers: list[int] = []
+        try:
+            workers = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(workers) == 2
+            assert wait_for_shard_lines(path, 4, timeout=120), \
+                "driver wrote no shard checkpoints"
+            assert all(process_running(pid) for pid in workers)
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while (any(process_running(pid) for pid in workers)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            survivors = [pid for pid in workers if process_running(pid)]
+            assert not survivors, (
+                f"local worker(s) {survivors} outlived their SIGKILLed driver"
+            )
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except OSError:
+                    pass  # exited (and reaped) as it should
 
     def test_sigkilled_fixed_shot_driver_resumes_mid_job(self, tmp_path):
         path = str(tmp_path / "fixed.jsonl")

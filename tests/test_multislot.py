@@ -40,18 +40,17 @@ from repro.engine import (
     run_sweep,
 )
 from repro.engine.cache import dem_to_jsonable
-from repro.engine.runner import (
-    Runner,
+from repro.engine.remote import RemoteBackend, parse_addr
+from repro.engine.remote import main as worker_main
+from repro.engine.runner import Runner, compile_design_point, plan_shards
+from repro.engine.scheduler import ShardOutcome
+from repro.engine.worker import (
     Shard,
     ShardExecutor,
-    ShardOutcome,
-    compile_design_point,
+    _recv_frame,
     handle_worker_message,
-    plan_shards,
     sample_shard,
 )
-from repro.engine.remote import RemoteBackend, _recv_frame, parse_addr
-from repro.engine.remote import main as worker_main
 from repro.noise.parameters import DEFAULT_NOISE
 
 SHOTS = 600

@@ -431,7 +431,7 @@ class TestPoolTelemetryProtocol:
         backend._dispatch[7] = (0, "job-a", 64, 0.0)
         backend._dispatch[8] = (1, "job-b", 64, 0.0)
         backend._load = [1, 1]
-        with caplog.at_level(logging.WARNING, logger="repro.engine.runner"):
+        with caplog.at_level(logging.WARNING, logger="repro.engine.pool"):
             backend._forget_worker(0)
         assert backend.take_lost() == [7]
         [record] = caplog.records

@@ -26,22 +26,19 @@ from fault_helpers import FakeWorker, StubPoolBackend
 from repro import telemetry
 from repro.engine import CompilationCache, SweepSpec, run_sweep
 from repro.engine.cache import dem_to_jsonable
-from repro.engine.remote import (
+from repro.engine.pool import _Connection
+from repro.engine.remote import RemoteBackend, parse_addr
+from repro.engine.runner import compile_design_point, plan_shards
+from repro.engine.worker import (
     _HEADER,
     _MAX_FRAME,
     PROTOCOL_VERSION,
-    RemoteBackend,
-    _Connection,
+    ShardExecutor,
     _encode_frame,
+    _parse_frames,
     _recv_frame,
     _serve_connection,
-    parse_addr,
-)
-from repro.engine.runner import (
-    ShardExecutor,
-    compile_design_point,
     handle_worker_message,
-    plan_shards,
 )
 from repro.noise.parameters import DEFAULT_NOISE
 from repro.telemetry import Telemetry
@@ -83,7 +80,7 @@ def point():
 
 
 def _connection(data: bytes) -> _Connection:
-    conn = _Connection(("127.0.0.1", 0), None)
+    conn = _Connection("127.0.0.1:0", None)
     conn.buffer.extend(data)
     return conn
 
@@ -97,26 +94,26 @@ class TestFraming:
         conn = _connection(
             _encode_frame(("ok", 1)) + _encode_frame(("ok", 2)) + third[:5]
         )
-        messages, corrupt = RemoteBackend._parse_buffer(conn)
+        messages, corrupt = _parse_frames(conn.buffer)
         assert messages == [("ok", 1), ("ok", 2)]
         assert not corrupt
         assert bytes(conn.buffer) == third[:5]
         conn.buffer.extend(third[5:])
-        assert RemoteBackend._parse_buffer(conn) == ([("ok", 3)], False)
+        assert _parse_frames(conn.buffer) == ([("ok", 3)], False)
         assert not conn.buffer
 
     def test_parser_flags_header_over_limit_after_good_frames(self):
         conn = _connection(
             _encode_frame(("ok", 1)) + _HEADER.pack(_MAX_FRAME + 1)
         )
-        messages, corrupt = RemoteBackend._parse_buffer(conn)
+        messages, corrupt = _parse_frames(conn.buffer)
         assert messages == [("ok", 1)]
         assert corrupt
 
     def test_parser_waits_on_a_header_at_the_limit(self):
         # Exactly _MAX_FRAME is a legal (if huge) frame: keep buffering.
         conn = _connection(_HEADER.pack(_MAX_FRAME) + b"partial")
-        assert RemoteBackend._parse_buffer(conn) == ([], False)
+        assert _parse_frames(conn.buffer) == ([], False)
 
     def test_worker_reader_roundtrips_and_drops_oversized_header(self):
         left, right = socket.socketpair()
