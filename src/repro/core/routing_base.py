@@ -7,7 +7,8 @@ needs regardless of *policy*:
 - occupancy / allocation tracking (trap chains, ion locations, per-
   component capacity admissibility);
 - congestion-aware Dijkstra path search with static-distance detour
-  bounds;
+  bounds, run over flat per-component tables built once per router
+  (see :meth:`RoutingStrategy._build_tables`);
 - movement emission (split / shuttle / junction entry and exit / merge,
   with in-trap swaps to reach a chain end) under happens-before
   tracking per ion and per hardware component;
@@ -38,11 +39,15 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 
+from ..arch.components import ComponentKind
 from ..arch.device import QCCDDevice
 from ..arch.timing import OperationTimes
 from ..codes.base import Role, StabilizerCode
 from .ir import LogicalGate, QccdOp
 from .place import Placement
+
+
+_INF = float("inf")
 
 
 class RoutingError(RuntimeError):
@@ -111,14 +116,15 @@ class RoutingStrategy:
         self.home: dict[int, int] = dict(placement.qubit_to_trap)
         self._role = {q.index: q.role for q in code.qubits}
 
+        self._build_tables()
+        # src -> uncongested travel cost to every component, by id.
+        self._static_dist_cache: dict[int, list[float]] = {}
+
         self.ops: list[QccdOp] = []
         self._last_ion: dict[int, int] = {}
-        # Per-component op history; an op depends on the op `window`
-        # places back, where window is the component's op-concurrency:
-        # 1 for traps (one laser interaction zone) and segments, the
-        # junction capacity for junctions (the switch hub is a
-        # non-blocking crossbar).
-        self._comp_history: dict[int, list[int]] = {}
+        # Per-component op history, indexed by component id; an op
+        # depends on the op ``self._window[comp]`` places back.
+        self._comp_history: list[list[int]] = [[] for _ in self._window]
 
         # Gate DAG state.
         self._remaining = {g.id: len(g.deps) for g in gates}
@@ -134,6 +140,48 @@ class RoutingStrategy:
             for q in g.qubits:
                 self._qubit_gates[q].append(g.id)
         self._qubit_cursor: dict[int, int] = defaultdict(int)
+
+    def _build_tables(self) -> None:
+        """Flatten the device into per-component lists, indexed by id.
+
+        The search loops read only these, never the networkx graph or
+        the :class:`Component` objects.  Neighbours keep
+        ``device.graph().neighbors()`` order and every cost is the same
+        float expression the search always summed, so paths, and so
+        programs, are byte-identical to a search over the graph.
+        """
+        device = self.device
+        times = self.times
+        graph = device.graph()
+        junction_cost = times.junction_entry + times.junction_exit
+        self._neighbors: list[tuple[int, ...]] = []
+        self._kind: list[ComponentKind] = []
+        self._capacity: list[int] = []
+        self._is_trap: list[bool] = []
+        # Step cost of entering a component: ``_step`` as a search
+        # destination (a trap costs a merge), ``_static_step`` passing
+        # through (a trap costs a merge and a split out again).
+        self._step: list[float] = []
+        self._static_step: list[float] = []
+        # Op-concurrency: 1 for traps (one laser interaction zone) and
+        # segments, the junction capacity for junctions (the switch hub
+        # is a non-blocking crossbar).
+        self._window: list[int] = []
+        for comp in device.components:
+            self._neighbors.append(tuple(graph.neighbors(comp.id)))
+            self._kind.append(comp.kind)
+            self._capacity.append(comp.capacity)
+            self._is_trap.append(comp.is_trap)
+            if comp.is_segment:
+                step = static = times.shuttle
+            elif comp.is_junction:
+                step = static = junction_cost
+            else:
+                step = times.merge
+                static = times.merge + times.split
+            self._step.append(step)
+            self._static_step.append(static)
+            self._window.append(max(1, comp.capacity) if comp.is_junction else 1)
 
     # ------------------------------------------------------------------
     # Strategy interface
@@ -154,16 +202,13 @@ class RoutingStrategy:
         gate_id: int | None = None,
         round_idx: int = 0,
     ) -> int:
-        deps = set()
-        for ion in ions:
-            if ion in self._last_ion:
-                deps.add(self._last_ion[ion])
+        last_ion = self._last_ion
+        deps = {last_ion[ion] for ion in ions if ion in last_ion}
         for comp in components:
-            history = self._comp_history.get(comp)
-            if history:
-                window = self._op_concurrency(comp)
-                if len(history) >= window:
-                    deps.add(history[-window])
+            history = self._comp_history[comp]
+            window = self._window[comp]
+            if len(history) >= window:
+                deps.add(history[-window])
         op = QccdOp(
             id=len(self.ops),
             kind=kind,
@@ -176,16 +221,10 @@ class RoutingStrategy:
         )
         self.ops.append(op)
         for ion in ions:
-            self._last_ion[ion] = op.id
+            last_ion[ion] = op.id
         for comp in components:
-            self._comp_history.setdefault(comp, []).append(op.id)
+            self._comp_history[comp].append(op.id)
         return op.id
-
-    def _op_concurrency(self, comp_id: int) -> int:
-        comp = self.device.component(comp_id)
-        if comp.is_junction:
-            return max(1, comp.capacity)
-        return 1
 
     # ------------------------------------------------------------------
     # Gate DAG bookkeeping
@@ -380,7 +419,7 @@ class RoutingStrategy:
     def _hop_cost(self) -> float:
         """Cost of one nominal inter-trap hop on this device."""
         times = self.times
-        if self.device.num_junctions:
+        if ComponentKind.JUNCTION in self._kind:
             return (
                 times.split
                 + 2 * times.shuttle
@@ -400,21 +439,11 @@ class RoutingStrategy:
         return alloc
 
     def _node_cost(self, comp_id: int, is_destination: bool) -> float:
-        comp = self.device.component(comp_id)
-        times = self.times
-        if comp.is_segment:
-            return times.shuttle
-        if comp.is_junction:
-            return times.junction_entry + times.junction_exit
-        if is_destination:
-            return times.merge
+        if is_destination or not self._is_trap[comp_id]:
+            return self._step[comp_id]
         # Pass-through trap: merge + split, plus swaps past any residents.
-        occupants = len(self.chains.get(comp_id, ()))
-        return times.merge + times.split + occupants * times.swap
-
-    def _admissible(self, comp_id: int, alloc: dict[int, int]) -> bool:
-        comp = self.device.component(comp_id)
-        return alloc[comp_id] < comp.capacity
+        occupants = len(self.chains[comp_id])
+        return self._static_step[comp_id] + occupants * self.times.swap
 
     def _find_path(
         self, src: int, dst: int, alloc: dict[int, int]
@@ -441,45 +470,37 @@ class RoutingStrategy:
 
     def _path_cost(self, path: list[int]) -> float:
         cost = self.times.split
-        for i, node in enumerate(path[1:], start=1):
-            cost += self._node_cost(node, i == len(path) - 1)
-        return cost
+        for node in path[1:-1]:
+            cost += self._node_cost(node, False)
+        return cost + self._step[path[-1]]
 
     def _static_distance(self, src: int, dst: int) -> float:
         """Uncongested travel cost on the empty device (cached)."""
-        cache = getattr(self, "_static_dist_cache", None)
-        if cache is None:
-            cache = {}
-            self._static_dist_cache = cache
-        if src not in cache:
-            graph = self.device.graph()
-            dist = {src: self.times.split}
+        dist = self._static_dist_cache.get(src)
+        if dist is None:
+            neighbors = self._neighbors
+            static_step = self._static_step
+            dist = [_INF] * len(static_step)
+            seen = [False] * len(static_step)
+            dist[src] = self.times.split
             heap = [(self.times.split, src)]
-            seen: set[int] = set()
             while heap:
                 d, node = heapq.heappop(heap)
-                if node in seen:
+                if seen[node]:
                     continue
-                seen.add(node)
-                for nxt in graph.neighbors(node):
-                    if nxt in seen:
+                seen[node] = True
+                for nxt in neighbors[node]:
+                    if seen[nxt]:
                         continue
-                    comp = self.device.component(nxt)
-                    if comp.is_trap:
-                        step = self.times.merge + self.times.split
-                    elif comp.is_junction:
-                        step = self.times.junction_entry + self.times.junction_exit
-                    else:
-                        step = self.times.shuttle
-                    nd = d + step
-                    if nd < dist.get(nxt, float("inf")):
+                    nd = d + static_step[nxt]
+                    if nd < dist[nxt]:
                         dist[nxt] = nd
                         heapq.heappush(heap, (nd, nxt))
-            cache[src] = dist
+            self._static_dist_cache[src] = dist
         # Destination traps cost a merge only; undo the split added by
         # the pass-through accounting above.
-        value = cache[src].get(dst, float("inf"))
-        if value != float("inf") and self.device.component(dst).is_trap:
+        value = dist[dst]
+        if value != _INF and self._is_trap[dst]:
             value -= self.times.split
         return value
 
@@ -487,33 +508,44 @@ class RoutingStrategy:
         return self._dijkstra(src, alloc, accept)
 
     def _dijkstra(self, src: int, alloc: dict[int, int], accept) -> list[int] | None:
-        graph = self.device.graph()
-        dist = {src: self.times.split}
+        """Cheapest admissible path from ``src`` to a trap that ``accept``
+        takes.
+
+        A component is admissible while ``alloc`` holds fewer ions than
+        its capacity.  The heap key ``(cost, node)``, the neighbour
+        order and the summation order decide ties, and so the path.
+        """
+        neighbors = self._neighbors
+        capacity = self._capacity
+        is_trap = self._is_trap
+        step = self._step
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        dist = [_INF] * len(step)
+        visited = [False] * len(step)
         prev: dict[int, int] = {}
+        dist[src] = self.times.split
         heap = [(self.times.split, src)]
-        visited: set[int] = set()
         while heap:
-            d, node = heapq.heappop(heap)
-            if node in visited:
+            d, node = heappop(heap)
+            if visited[node]:
                 continue
-            visited.add(node)
-            comp = self.device.component(node)
-            if node != src and comp.is_trap and accept(node):
+            visited[node] = True
+            if node != src and is_trap[node] and accept(node):
                 path = [node]
                 while node != src:
                     node = prev[node]
                     path.append(node)
                 path.reverse()
                 return path
-            for nxt in graph.neighbors(node):
-                if nxt in visited or not self._admissible(nxt, alloc):
+            for nxt in neighbors[node]:
+                if visited[nxt] or alloc[nxt] >= capacity[nxt]:
                     continue
-                is_dest = self.device.component(nxt).is_trap
-                nd = d + self._node_cost(nxt, is_dest)
-                if nd < dist.get(nxt, float("inf")):
+                nd = d + step[nxt]
+                if nd < dist[nxt]:
                     dist[nxt] = nd
                     prev[nxt] = node
-                    heapq.heappush(heap, (nd, nxt))
+                    heappush(heap, (nd, nxt))
         return None
 
     # ------------------------------------------------------------------
@@ -539,6 +571,7 @@ class RoutingStrategy:
         """
         device = self.device
         times = self.times
+        kind = self._kind
         src = path[0]
         self._emit_swaps_to_end(src, ion, device.port_end(src, path[1]))
         self.chains[src].remove(ion)
@@ -547,12 +580,10 @@ class RoutingStrategy:
         i = 1
         while i < len(path):
             node = path[i]
-            comp = device.component(node)
-            if comp.is_segment:
+            if kind[node] is ComponentKind.SEGMENT:
                 self._emit("SHUTTLE", (ion,), (node,), times.shuttle)
                 nxt = path[i + 1]
-                nxt_comp = device.component(nxt)
-                if nxt_comp.is_junction:
+                if kind[nxt] is ComponentKind.JUNCTION:
                     self._emit(
                         "JUNCTION_ENTRY", (ion,), (node, nxt), times.junction_entry
                     )
@@ -564,7 +595,7 @@ class RoutingStrategy:
                     else:
                         self.chains[nxt].append(ion)
                     self.location[ion] = nxt
-            elif comp.is_junction:
+            elif kind[node] is ComponentKind.JUNCTION:
                 nxt = path[i + 1]
                 self._emit("JUNCTION_EXIT", (ion,), (node, nxt), times.junction_exit)
             else:
@@ -640,8 +671,7 @@ class RoutingStrategy:
             )
             if corridor is not None:
                 for node in corridor[1:-1]:
-                    comp = self.device.component(node)
-                    if comp.is_trap and alloc[node] >= capacity:
+                    if self._is_trap[node] and alloc[node] >= capacity:
                         if self._evict_one(node, keep=set(), alloc=alloc):
                             return True
         return False

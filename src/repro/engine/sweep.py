@@ -251,8 +251,12 @@ class SweepSpec:
                     f"{available_placers()}")
         if any(d < 2 for d in self.distances):
             raise ValueError("distances must be >= 2")
-        if any(c < 1 for c in self.capacities):
-            raise ValueError("capacities must be >= 1")
+        # Checked here, not when the job compiles: a bad value would
+        # otherwise surface mid-sweep, after earlier jobs already ran.
+        if any(c < 2 for c in self.capacities):
+            raise ValueError("capacities must be >= 2")
+        if any(g < 1 for g in self.gate_improvements):
+            raise ValueError("gate_improvements must be >= 1")
         if self.rounds is not None and self.rounds < 1:
             raise ValueError("rounds must be positive (or None for rounds=distance)")
         if self.shots < 0:

@@ -87,6 +87,14 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             small_spec(rounds=0)
 
+    def test_gate_improvements_below_one_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="gate_improvements must be >= 1"):
+            SweepSpec(distances=(3,), gate_improvements=(1.0, 0.5), shots=64)
+
+    def test_capacities_below_two_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="capacities must be >= 2"):
+            SweepSpec(distances=(3,), capacities=(1,), shots=0)
+
 
 class TestShardPlanning:
     def test_layout_covers_shots_exactly(self):

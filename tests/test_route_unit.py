@@ -1,5 +1,8 @@
 """Focused unit tests for router internals (pathfinding, swaps, hops)."""
 
+import heapq
+import random
+
 import pytest
 
 from repro.arch import DEFAULT_TIMES, grid_device, linear_device
@@ -143,9 +146,101 @@ class TestOccupancy:
     def test_op_concurrency_windows(self):
         router = _router(RotatedSurfaceCode(2), 2, "switch")
         hub = router.device.junctions[0]
-        assert router._op_concurrency(hub.id) == hub.capacity
+        assert router._window[hub.id] == hub.capacity
         trap = router.device.traps[0]
-        assert router._op_concurrency(trap.id) == 1
+        assert router._window[trap.id] == 1
+
+
+def _graph_dijkstra(router, src, alloc, accept):
+    """Reference search over the networkx graph and the Component objects."""
+    device, times = router.device, router.times
+
+    def step(cid):
+        comp = device.component(cid)
+        if comp.is_segment:
+            return times.shuttle
+        if comp.is_junction:
+            return times.junction_entry + times.junction_exit
+        return times.merge
+
+    dist = {src: times.split}
+    prev = {}
+    heap = [(times.split, src)]
+    visited = set()
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in visited:
+            continue
+        visited.add(node)
+        if node != src and device.component(node).is_trap and accept(node):
+            path = [node]
+            while node != src:
+                node = prev[node]
+                path.append(node)
+            return path[::-1]
+        for nxt in device.graph().neighbors(node):
+            if nxt in visited or alloc[nxt] >= device.component(nxt).capacity:
+                continue
+            nd = d + step(nxt)
+            if nd < dist.get(nxt, float("inf")):
+                dist[nxt] = nd
+                prev[nxt] = node
+                heapq.heappush(heap, (nd, nxt))
+    return None
+
+
+class TestDeviceTables:
+    @pytest.mark.parametrize("topology", ["grid", "switch", "linear"])
+    @pytest.mark.parametrize("capacity", [2, 5])
+    def test_table_search_matches_graph_search(self, topology, capacity):
+        """Same path, tie for tie, as the search over the device graph,
+        under random congestion."""
+        router = _router(RotatedSurfaceCode(3), capacity, topology)
+        rng = random.Random(f"{topology}-{capacity}")
+        comps = router.device.components
+        traps = [t.id for t in router.device.traps]
+        found = 0
+        for _ in range(200):
+            alloc = {
+                c.id: c.capacity if rng.random() < 0.15
+                else rng.randrange(min(c.capacity, 3))
+                for c in comps
+            }
+            src = rng.choice(traps)
+            targets = set(rng.sample(traps, rng.randint(1, 3)))
+            expected = _graph_dijkstra(router, src, alloc, targets.__contains__)
+            assert router._dijkstra(src, alloc, targets.__contains__) == expected
+            found += expected is not None
+        assert 0 < found < 200  # both outcomes exercised
+
+    @pytest.mark.parametrize("topology", ["grid", "switch", "linear"])
+    def test_tables_match_device(self, topology):
+        """The search tables are the device graph, flattened: networkx
+        neighbour order, and the step costs the graph search summed."""
+        router = _router(RotatedSurfaceCode(2), 3, topology)
+        device, times = router.device, router.times
+        for comp in device.components:
+            cid = comp.id
+            assert router._neighbors[cid] == tuple(device.graph().neighbors(cid))
+            assert router._capacity[cid] == comp.capacity
+            assert router._is_trap[cid] == comp.is_trap
+            assert router._kind[cid] is comp.kind
+            if comp.is_segment:
+                step = static = times.shuttle
+            elif comp.is_junction:
+                step = static = times.junction_entry + times.junction_exit
+            else:
+                step, static = times.merge, times.merge + times.split
+            assert router._step[cid] == step
+            assert router._static_step[cid] == static
+            assert router._node_cost(cid, True) == step
+            if not comp.is_trap:
+                assert router._node_cost(cid, False) == step
+            else:
+                occupants = len(router.chains[cid])
+                assert router._node_cost(cid, False) == (
+                    times.merge + times.split + occupants * times.swap
+                )
 
 
 class TestDeadlockReporting:
