@@ -54,7 +54,7 @@ def _shard_runner(distance: int = 3, shots: int = 2048):
 
     def run():
         failures, _memo, _phases = sample_shard(
-            compiled.circuit, decoder, shard, sampler=sampler
+            decoder, shard, sampler=sampler
         )
         return failures
 

@@ -100,7 +100,6 @@ class CompiledCircuit:
 
     key: str
     circuit: StabilizerCircuit
-    text: str
     dem: DetectorErrorModel
     sampling_dem: DetectorErrorModel
     graph: DetectorGraph
@@ -158,7 +157,6 @@ class CompilationCache:
         entry = CompiledCircuit(
             key=key,
             circuit=circuit,
-            text=text,
             dem=dem,
             sampling_dem=sampling_dem,
             graph=DetectorGraph.from_dem(dem),

@@ -89,8 +89,8 @@ class WorkerPoolBackend:
 
     Dispatches the messages of
     :func:`~repro.engine.worker.handle_worker_message` — ``prime`` (at
-    most once per (worker, circuit): circuit text, both DEM payloads,
-    MWPM distance matrices), late ``dmat`` delivery, ``config`` (only
+    most once per (worker, circuit): both DEM payloads and the MWPM
+    distance matrices), late ``dmat`` delivery, ``config`` (only
     when telemetry is on), tiny payload-free ``shard`` tuples, ``stop``
     — and reads their fixed-shape replies.  It owns the bookkeeping:
     priming state, per-worker load, the seq -> worker dispatch map,
@@ -319,8 +319,8 @@ class WorkerPoolBackend:
                 dmat = cache.peek_distance_matrix(task.circuit_key)
             self._send(
                 worker,
-                ("prime", task.circuit_key, compiled.text, dem_data, sdem_data,
-                 dmat, self._epoch),
+                ("prime", task.circuit_key, dem_data, sdem_data, dmat,
+                 self._epoch),
             )
             self._primed.add(pair)
             if dmat is not None:
@@ -342,9 +342,8 @@ class WorkerPoolBackend:
             self._dmat_primed.add(pair)
         self._send(
             worker,
-            ("shard", task.seq, task.circuit_key, task.decoder, task.sampler,
-             task.shots, task.seed, self._epoch, task.offset,
-             task.parent_shots),
+            ("shard", task.seq, task.circuit_key, task.decoder, task.shots,
+             task.seed, self._epoch, task.offset, task.parent_shots),
         )
 
     def _pick_worker(self, circuit_key: str, live: list[int]) -> int:

@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass, field
 
 from ..ler.estimator import LerResult
-from .sweep import SweepJob
+from .sweep import ForeignJobRecord, SweepJob
 
 
 @dataclass
@@ -191,10 +191,12 @@ class ResultStore:
         each key's latest job record, plus the shard records that
         *follow* it (checkpoints of a newer, unfinished sampling of the
         same key — the final job record supersedes only the shards
-        written before it).
+        written before it), plus every foreign job record (frame-sampled
+        or pre-DEM-sampler): not loaded, but not corrupt either.
         """
         jobs: dict[str, JobResult] = {}
         job_line: dict[str, int] = {}
+        foreign: set[int] = set()
         shard_entries: dict[tuple[str, int], tuple[int, ShardRecord]] = {}
         with open(self.path) as fh:
             for line_no, line in enumerate(fh):
@@ -210,12 +212,15 @@ class ResultStore:
                         )
                         continue
                     result = JobResult.from_jsonable(data)
+                except ForeignJobRecord:
+                    foreign.add(line_no)
+                    continue
                 except (ValueError, KeyError, TypeError):
                     continue  # truncated / corrupt line from an interrupted run
                 jobs[result.key] = result
                 job_line[result.key] = line_no
         shards: dict[str, dict[int, ShardRecord]] = {}
-        keep = set(job_line.values())
+        keep = set(job_line.values()) | foreign
         for (key, index), (line_no, record) in shard_entries.items():
             if line_no > job_line.get(key, -1):
                 shards.setdefault(key, {})[index] = record

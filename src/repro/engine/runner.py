@@ -13,9 +13,9 @@ Monte-Carlo sampling through the cross-job shard scheduler
   processes on other machines.  Both are one worker pool
   (:mod:`repro.engine.pool`): every worker runs the same loop
   (:mod:`repro.engine.worker`) over one socket, is primed at most once
-  per unique circuit (circuit text, both DEM payloads, MWPM distance
-  matrices), and afterwards receives only ``(circuit key, decoder,
-  sampler, shots, seed)`` shard messages.  A dead worker does not
+  per unique circuit (both DEM payloads, MWPM distance matrices), and
+  afterwards receives only ``(circuit key, decoder, shots, seed)``
+  shard messages.  A dead worker does not
   kill the sweep: its in-flight shards are disowned into a lost list
   the scheduler reaps (``take_lost``) and resubmits to survivors with
   their original seeds.
@@ -149,12 +149,11 @@ class SerialBackend:
     ) -> None:
         t0 = time.perf_counter()
         decoder = cache.decoder(compiled, task.decoder)
-        sampler = cache.dem_sampler(compiled) if task.sampler == "dem" else None
         failures, memo, phases = sample_shard(
-            compiled.circuit, decoder,
+            decoder,
             Shard(task.shard_index, task.shots, task.seed,
                   offset=task.offset, parent_shots=task.parent_shots),
-            sampler=sampler,
+            cache.dem_sampler(compiled),
         )
         # worker stays "" — in-process spans already recorded real trace
         # events, so the driver must not synthesize a worker lane too.
@@ -585,7 +584,6 @@ class Runner:
             compiled=compiled,
             decoder=job.decoder,
             plan=plan,
-            sampler=job.sampler,
             target_failures=job.target_failures,
             target_rel_stderr=job.target_rel_stderr,
             tranche_shards=tranche,
@@ -705,7 +703,6 @@ def sample_adaptive(
     seed: int | None = None,
     backend=None,
     cache: CompilationCache | None = None,
-    sampler: str = "dem",
 ) -> tuple[int, int]:
     """Sample ``circuit`` until ``target_failures`` failures (or, when
     ``target_rel_stderr`` is set, until the estimate's relative
@@ -745,7 +742,6 @@ def sample_adaptive(
         compiled=compiled,
         decoder=decoder,
         plan=plan,
-        sampler=sampler,
         target_failures=target_failures,
         target_rel_stderr=target_rel_stderr,
         tranche_shards=len(plan),

@@ -71,9 +71,9 @@ logger = logging.getLogger(__name__)
 class ShardTask:
     """One shard submission: everything a worker needs, and nothing more.
 
-    Deliberately carries no circuit text and no DEM payload — those are
-    shipped to each worker at most once per unique circuit by the
-    backend's priming protocol, keyed by ``circuit_key``.
+    Deliberately carries no DEM payload — the DEMs are shipped to each
+    worker at most once per unique circuit by the backend's priming
+    protocol, keyed by ``circuit_key``.
     """
 
     seq: int
@@ -83,9 +83,6 @@ class ShardTask:
     shots: int
     seed: np.random.SeedSequence
     shard_index: int
-    # Which syndrome sampler runs the shard: "dem" (bit-packed
-    # DEM-direct fast path) or "frame" (gate-by-gate circuit replay).
-    sampler: str = "dem"
     # Stolen-window fields: a window re-draws its parent's full
     # ``parent_shots`` sample from ``seed`` and decodes only rows
     # ``[offset, offset + shots)``.  ``parent_shots is None`` means a
@@ -148,7 +145,7 @@ class JobState:
     """
 
     __slots__ = (
-        "key", "compiled", "decoder", "sampler", "plan", "target_failures",
+        "key", "compiled", "decoder", "plan", "target_failures",
         "target_rel_stderr", "tranche_shards", "payload", "next_index",
         "inflight", "shots_done", "failures", "shots_submitted", "work_s",
         "memo_hits", "memo_misses", "memo_size", "phase_s", "retired",
@@ -161,7 +158,6 @@ class JobState:
         decoder: str,
         plan: list,
         *,
-        sampler: str = "dem",
         target_failures: int | None = None,
         target_rel_stderr: float | None = None,
         tranche_shards: int | None = None,
@@ -174,7 +170,6 @@ class JobState:
         self.key = key
         self.compiled = compiled
         self.decoder = decoder
-        self.sampler = sampler
         self.plan = plan
         self.target_failures = target_failures
         self.target_rel_stderr = target_rel_stderr
@@ -412,7 +407,6 @@ class StreamScheduler:
                 shots=shard.shots,
                 seed=shard.seed,
                 shard_index=shard.index,
-                sampler=state.sampler,
             )
             self._seq += 1
             state.next_index += 1
@@ -478,7 +472,6 @@ class StreamScheduler:
                 shots=shots,
                 seed=task.seed,
                 shard_index=task.shard_index,
-                sampler=task.sampler,
                 offset=offset,
                 parent_shots=task.shots,
                 parent_seq=seq,

@@ -14,13 +14,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+import numbers
+from dataclasses import dataclass, fields
 
 _CODES = ("rotated_surface", "unrotated_surface", "repetition")
 _TOPOLOGIES = ("grid", "linear", "switch")
 _WIRINGS = ("standard", "wise")
 _DECODERS = ("mwpm", "union_find")
-_SAMPLERS = ("dem", "frame")
+_BASES = ("X", "Z")
+
+
+class ForeignJobRecord(ValueError):
+    """A well-formed job record this engine does not sample: one drawn
+    by the removed frame sampler, or from before the DEM sampler."""
 
 
 @dataclass(frozen=True)
@@ -52,25 +58,14 @@ class SweepJob:
     # sampling.
     target_failures: int | None = None
     max_shots: int | None = None
-    # Syndrome sampler: "dem" draws shots directly from the compiled
-    # detector error model (bit-packed fast path); "frame" replays the
-    # noisy circuit gate-by-gate (the exact reference, and the only
-    # mode that existed before the fast path — its keys and shard RNG
-    # streams are unchanged, so stored results resume and the sampled
-    # syndromes are bit-identical to pre-fast-path sweeps).
-    sampler: str = "dem"
-    # Adaptive precision stopping (see above); appended after
-    # ``sampler`` so positional construction from older call sites is
-    # unaffected, and excluded from the key hash when unset so every
-    # pre-existing job key carries over bit-identically.
+    # Adaptive precision stopping (see above); excluded from the key
+    # hash when unset, so keys from before it existed carry over.
     target_rel_stderr: float | None = None
     # Compilation strategy axes (see repro.core.routing_base and
     # repro.core.place): the routing and placement strategies used to
-    # compile this design point.  Appended with the pre-strategy
-    # defaults and excluded from the key hash when default-valued, so
-    # every job key from before the strategy layer — and with it every
-    # stored result and shard RNG stream — carries over bit-identically
-    # (the ``sampler`` pattern above).
+    # compile this design point.  Excluded from the key hash when
+    # default-valued, so keys from before the strategy layer carry
+    # over.
     router: str = "greedy"
     placer: str = "projection"
 
@@ -110,19 +105,16 @@ class SweepJob:
     def key(self) -> str:
         """Stable, human-scannable identity: label prefix + content hash.
 
-        Each sampling mode hashes exactly the fields it had when it was
-        introduced: fixed-shot frame jobs hash the original field set
-        (no adaptive fields, no sampler field), so their keys — and
-        hence their shard RNG streams and stored results — carry over
-        unchanged from every release before the DEM-direct fast path.
+        The hash covers :meth:`to_dict` (with its fixed ``"sampler":
+        "dem"`` entry) minus the optional fields left at their
+        defaults, so a job's key — and with it its shard RNG streams
+        and stored results — does not move when a field is added.
         """
-        content = asdict(self)
+        content = self.to_dict()
         if not self.adaptive:
             del content["target_failures"], content["max_shots"]
         if self.target_rel_stderr is None:
             del content["target_rel_stderr"]
-        if self.sampler == "frame":
-            del content["sampler"]
         if self.router == "greedy":
             del content["router"]
         if self.placer == "projection":
@@ -151,19 +143,31 @@ class SweepJob:
         )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The job's fields, with the fixed ``"sampler": "dem"`` entry
+        after ``max_shots`` (where the field used to sit), so store
+        lines and key payloads keep their established layout."""
+        data = {}
+        for f in fields(self):
+            data[f.name] = getattr(self, f.name)
+            if f.name == "max_shots":
+                data["sampler"] = "dem"
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepJob":
+        """Rebuild a job from :meth:`to_dict` output.
+
+        Raises :class:`ForeignJobRecord` unless the record says
+        ``"sampler": "dem"``: a frame-sampled record (or one from before
+        the DEM sampler, which has no sampler field) would otherwise
+        come back as a DEM job with the DEM job's key, and resume would
+        credit its counts to an experiment that never ran.
+        """
+        if data.get("sampler") != "dem":
+            raise ForeignJobRecord(
+                f"not a DEM-sampled job record (sampler="
+                f"{data.get('sampler')!r})")
         names = {f.name for f in fields(cls)}
-        # Stores written before the DEM-direct fast path carry no
-        # sampler field; those experiments were frame-sampled.
-        data = dict(data)
-        data.setdefault("sampler", "frame")
-        # Stores written before the strategy layer compiled with the
-        # only strategies that existed.
-        data.setdefault("router", "greedy")
-        data.setdefault("placer", "projection")
         return cls(**{k: v for k, v in data.items() if k in names})
 
 
@@ -197,10 +201,6 @@ class SweepSpec:
     # ``max_shots`` defaults to 100 tranches when left unset.
     target_failures: int | None = None
     max_shots: int | None = None
-    # "dem" (default) samples syndromes straight from the compiled
-    # detector error model; "frame" opts back into gate-by-gate
-    # circuit replay with pre-fast-path keys and shard RNG streams.
-    sampler: str = "dem"
     # Adaptive *precision* stopping: retire a design point once the
     # relative standard error of its per-shot LER estimate falls below
     # this bound (e.g. 0.1 for ~10% error bars).
@@ -231,9 +231,9 @@ class SweepSpec:
             if dec not in _DECODERS:
                 raise ValueError(
                     f"unknown decoder {dec!r}; expected one of {_DECODERS}")
-        if self.sampler not in _SAMPLERS:
+        if self.basis not in _BASES:
             raise ValueError(
-                f"unknown sampler {self.sampler!r}; expected one of {_SAMPLERS}")
+                f"unknown basis {self.basis!r}; expected one of {_BASES}")
         # Strategy names validate against the live registries (local
         # import: the spec layer stays cheap to import, and strategies
         # registered by user code are honoured).
@@ -261,6 +261,8 @@ class SweepSpec:
             raise ValueError("rounds must be positive (or None for rounds=distance)")
         if self.shots < 0:
             raise ValueError("shots must be non-negative (0 = compile-only)")
+        if not isinstance(self.master_seed, numbers.Integral) or self.master_seed < 0:
+            raise ValueError("master_seed must be a non-negative integer")
         adaptive = (
             self.target_failures is not None
             or self.target_rel_stderr is not None
@@ -315,7 +317,6 @@ class SweepSpec:
                                             basis=self.basis,
                                             target_failures=self.target_failures,
                                             max_shots=self.max_shots,
-                                            sampler=self.sampler,
                                             target_rel_stderr=self.target_rel_stderr,
                                             router=router,
                                             placer=placer,

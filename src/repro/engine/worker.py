@@ -27,10 +27,7 @@ import numpy as np
 
 from ..decoders.graph import DetectorGraph
 from ..ler.estimator import make_decoder
-from ..sim.circuit import StabilizerCircuit
 from ..sim.dem_sampler import DemSampler, PackedShard
-from ..sim.frame import FrameSimulator
-from ..sim.text_format import circuit_from_text
 from ..telemetry import configure as configure_telemetry
 from ..telemetry import get as active_telemetry
 from .cache import dem_from_jsonable
@@ -41,7 +38,7 @@ from .cache import dem_from_jsonable
 # replies.  Driver and worker ship in one package, so there is exactly
 # one message format: a driver refuses a worker whose hello names any
 # other version (bump the number whenever a message shape changes).
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 _HEADER = struct.Struct(">I")
 # A frame is bounded by the largest prime payload (two DEM JSONs plus
 # the all-pairs distance matrices) — far below this, but cap it so a
@@ -73,19 +70,16 @@ class Shard:
 
 
 def sample_shard(
-    circuit: StabilizerCircuit,
     decoder,
     shard: Shard,
-    sampler: DemSampler | None = None,
+    sampler: DemSampler,
 ) -> tuple[int, tuple[int, int, int], dict | None]:
     """Sample one shard and count its logical failures.
 
-    The shard flows packed end to end: a :class:`DemSampler` emits
-    :class:`~repro.sim.dem_sampler.PackedShard` words directly (fast
-    path, no unpack), while the :class:`FrameSimulator` reference path
-    packs its boolean output once at this boundary.  Either way the
-    decoder consumes the uint64 words via ``logical_failures_packed``
-    and the shard's ``SeedSequence`` fully determines the draw.
+    The shard flows packed end to end: the :class:`DemSampler` emits
+    :class:`~repro.sim.dem_sampler.PackedShard` words directly, the
+    decoder consumes them via ``logical_failures_packed``, and the
+    shard's ``SeedSequence`` fully determines the draw.
 
     Returns ``(failures, (memo_hits, memo_misses, memo_size), phases)``
     — the shard's own syndrome-memo traffic and, when telemetry is
@@ -108,15 +102,7 @@ def sample_shard(
         )
     with telemetry.span("shard"):
         with telemetry.span("sample"):
-            if sampler is not None:
-                packed = sampler.sample_packed(draw_shots, seed=shard.seed)
-            else:
-                sample = FrameSimulator(circuit, seed=shard.seed).sample(
-                    draw_shots
-                )
-                packed = PackedShard.from_bool(
-                    sample.detectors, sample.observables
-                )
+            packed = sampler.sample_packed(draw_shots, seed=shard.seed)
             if shard.parent_shots is not None and (
                 shard.offset or shard.shots != draw_shots
             ):
@@ -152,27 +138,27 @@ def sample_shard(
 class ShardExecutor:
     """Worker-side shard execution state.
 
-    Holds the circuits this worker was primed with and the decoders /
-    samplers built from them (lazily, at most once per circuit).
-    Every worker process runs one shard at a time, so each (circuit,
-    decoder) pair has exactly one decoder, which owns its syndrome
-    memo; the memo never leaves the worker.
+    Holds, per circuit this worker was primed with, the detector
+    graph and the DEM sampler, plus the decoders built lazily from the
+    graph.  Every worker process runs one shard at a time, so each
+    (circuit, decoder) pair has exactly one decoder, which owns its
+    syndrome memo; the memo never leaves the worker.
     """
 
     def __init__(self):
-        self._circuits: dict[str, tuple] = {}
+        # circuit_key -> (detector graph, DEM sampler).
+        self._circuits: dict[str, tuple[DetectorGraph, DemSampler]] = {}
         # (circuit_key, decoder_name) -> decoder instance (and its memo).
         self._decoders: dict[tuple[str, str], object] = {}
-        self._samplers: dict[str, DemSampler] = {}
 
-    def prime(self, circuit_key, circuit_text, dem_data, sdem_data, dmat) -> None:
-        circuit = circuit_from_text(circuit_text)
+    def prime(self, circuit_key, dem_data, sdem_data, dmat) -> None:
         graph = DetectorGraph.from_dem(dem_from_jsonable(dem_data))
         if dmat is not None:
             # Parent-cached all-pairs matrices: this worker's MWPM
             # decoder skips its own Dijkstra.
             graph.set_shortest_paths(*dmat)
-        self._circuits[circuit_key] = (circuit, graph, dem_from_jsonable(sdem_data))
+        sampler = DemSampler(dem_from_jsonable(sdem_data))
+        self._circuits[circuit_key] = (graph, sampler)
 
     def set_dmat(self, circuit_key, dmat) -> None:
         # Late distance-matrix delivery: the circuit was primed by a
@@ -180,12 +166,12 @@ class ShardExecutor:
         entry = self._circuits.get(circuit_key)
         if entry is not None and (circuit_key, "mwpm") not in self._decoders:
             try:
-                entry[1].set_shortest_paths(*dmat)
+                entry[0].set_shortest_paths(*dmat)
             except ValueError:
                 pass  # shape mismatch: let the decoder compute its own
 
     def run(
-        self, circuit_key, decoder_name, sampler_name, shots, seed,
+        self, circuit_key, decoder_name, shots, seed,
         offset: int = 0, parent_shots: int | None = None,
     ):
         """Sample one shard; returns ``(failures, memo_stats, phases)``."""
@@ -195,20 +181,15 @@ class ShardExecutor:
                 f"shard for unprimed circuit {circuit_key[:12]}…: "
                 "priming protocol violated"
             )
-        circuit, graph, sampling_dem = entry
+        graph, sampler = entry
         decoder = self._decoders.get((circuit_key, decoder_name))
         if decoder is None:
             decoder = make_decoder(graph, decoder_name)
             self._decoders[(circuit_key, decoder_name)] = decoder
-        sampler = None
-        if sampler_name == "dem":
-            sampler = self._samplers.get(circuit_key)
-            if sampler is None:
-                sampler = self._samplers[circuit_key] = DemSampler(sampling_dem)
         return sample_shard(
-            circuit, decoder,
+            decoder,
             Shard(0, shots, seed, offset=offset, parent_shots=parent_shots),
-            sampler=sampler,
+            sampler,
         )
 
 
@@ -221,8 +202,11 @@ def handle_worker_message(executor: ShardExecutor, message: tuple):
     the telemetry switch), ``shard`` samples and replies; ``stop`` is
     the caller's business.
 
-    A shard message is always ``("shard", seq, circuit_key, decoder,
-    sampler, shots, seed, epoch, offset, parent_shots)``;
+    A prime message is ``("prime", circuit_key, dem, sampling_dem,
+    dmat, epoch)``: both DEMs as JSON-able payloads, and the MWPM
+    all-pairs distance matrices or ``None``.  A shard message is
+    always ``("shard", seq, circuit_key, decoder, shots, seed, epoch,
+    offset, parent_shots)``;
     ``parent_shots`` is ``None`` for a whole planned shard and set for
     a stolen *window* of one.  Every reply has one shape,
     ``(kind, seq, value, elapsed_s, epoch, memo, phases)``: ``kind``
@@ -233,9 +217,9 @@ def handle_worker_message(executor: ShardExecutor, message: tuple):
     """
     kind = message[0]
     if kind == "prime":
-        _, circuit_key, circuit_text, dem_data, sdem_data, dmat, epoch = message
+        _, circuit_key, dem_data, sdem_data, dmat, epoch = message
         try:
-            executor.prime(circuit_key, circuit_text, dem_data, sdem_data, dmat)
+            executor.prime(circuit_key, dem_data, sdem_data, dmat)
         except BaseException:
             return ("error", None, traceback.format_exc(), 0.0, epoch,
                     None, None)
@@ -251,12 +235,12 @@ def handle_worker_message(executor: ShardExecutor, message: tuple):
         _, settings = message
         configure_telemetry(enabled=bool(settings.get("telemetry", False)))
         return None
-    (_, seq, circuit_key, decoder_name, sampler_name, shots, seed,
+    (_, seq, circuit_key, decoder_name, shots, seed,
      epoch, offset, parent_shots) = message
     try:
         t0 = time.perf_counter()
         failures, memo, phases = executor.run(
-            circuit_key, decoder_name, sampler_name, shots, seed,
+            circuit_key, decoder_name, shots, seed,
             offset=offset, parent_shots=parent_shots,
         )
         elapsed = time.perf_counter() - t0

@@ -101,7 +101,6 @@ def estimate_until_failures(
     decoder: str = "mwpm",
     seed: int | None = None,
     backend=None,
-    sampler: str = "dem",
     target_rel_stderr: float | None = None,
 ) -> LerResult:
     """Adaptive estimation: sample in batches until enough failures.
@@ -113,11 +112,10 @@ def estimate_until_failures(
     spawned from ``seed``), stopping at ``min_failures`` observed
     failures or at the ``max_shots`` budget, whichever comes first.
     Pass an engine backend (e.g. ``MultiprocessBackend``) to fan the
-    shards out over workers.  ``sampler="dem"`` (default) draws
-    syndromes straight from the compiled detector error model;
-    ``sampler="frame"`` opts back into gate-by-gate circuit replay.
-    ``target_rel_stderr`` adds a precision stopping rule: sampling also
-    stops once ``result.rel_stderr`` falls below the bound — and since
+    shards out over workers.  Syndromes are drawn straight from the
+    compiled detector error model.  ``target_rel_stderr`` adds a
+    precision stopping rule: sampling also stops once
+    ``result.rel_stderr`` falls below the bound — and since
     the *first* satisfied target wins, a precision bound tighter than
     ``1/sqrt(min_failures)`` needs ``min_failures=None``
     (precision-only stopping, up to the ``max_shots`` budget).
@@ -139,7 +137,6 @@ def estimate_until_failures(
         shard_shots=batch,
         seed=seed,
         backend=backend,
-        sampler=sampler,
     )
     return LerResult(shots=shots, failures=failures, rounds=rounds)
 

@@ -175,7 +175,6 @@ def cmd_sweep(args) -> int:
         master_seed=args.seed,
         target_failures=args.target_failures,
         max_shots=args.max_shots,
-        sampler=args.sampler,
         target_rel_stderr=args.target_rel_stderr,
     )
     telemetry_on = bool(
@@ -325,12 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="MB",
                          help="size bound for --cache-dir; least-recently-"
                               "used entries are evicted past it")
-    p_sweep.add_argument("--sampler", default="dem",
-                         choices=["dem", "frame"],
-                         help="syndrome sampler: 'dem' = bit-packed DEM-"
-                              "direct fast path, 'frame' = gate-by-gate "
-                              "circuit replay (pre-fast-path keys and "
-                              "shard RNG streams)")
     p_sweep.add_argument("--trace", default=None, metavar="PATH",
                          help="enable telemetry and write a Chrome "
                               "trace_event JSON file (Perfetto-loadable, "

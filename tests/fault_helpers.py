@@ -151,13 +151,10 @@ class FlakyBackend:
         if self.fail_seq is not None and task.seq == self.fail_seq:
             raise RuntimeError(f"injected failure for shard seq {task.seq}")
         decoder = cache.decoder(compiled, task.decoder)
-        sampler = (
-            cache.dem_sampler(compiled) if task.sampler == "dem" else None
-        )
         failures, memo, phases = sample_shard(
-            compiled.circuit, decoder,
+            decoder,
             Shard(task.shard_index, task.shots, task.seed),
-            sampler=sampler,
+            cache.dem_sampler(compiled),
         )
         self.executed.append((task.job_key, task.shard_index))
         self._completed += 1

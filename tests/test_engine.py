@@ -95,6 +95,17 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="capacities must be >= 2"):
             SweepSpec(distances=(3,), capacities=(1,), shots=0)
 
+    def test_unknown_basis_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown basis 'Q'"):
+            SweepSpec(distances=(3,), basis="Q", shots=64)
+        assert SweepSpec(distances=(3,), basis="X", shots=64).basis == "X"
+
+    def test_bad_master_seed_rejected_at_construction(self):
+        for seed in (-1, 1.5, "7"):
+            with pytest.raises(ValueError, match="master_seed must be a non-negative"):
+                SweepSpec(distances=(3,), master_seed=seed, shots=64)
+        assert SweepSpec(distances=(3,), master_seed=0, shots=64).master_seed == 0
+
 
 class TestShardPlanning:
     def test_layout_covers_shots_exactly(self):
@@ -576,12 +587,11 @@ class TestWorkerPriming:
             run_sweep(spec, backend=backend, shard_shots=64)
         assert backend.shard_messages
         for message in backend.shard_messages:
-            (kind, seq, circuit_key, decoder, sampler, shots, seed, epoch,
+            (kind, seq, circuit_key, decoder, shots, seed, epoch,
              offset, parent_shots) = message
             assert kind == "shard"
             assert isinstance(circuit_key, str) and len(circuit_key) == 64
             assert isinstance(decoder, str)
-            assert sampler in ("dem", "frame")
             assert isinstance(shots, int)
             # No nested payloads: the DEM JSON (dicts/lists) never
             # rides along with a shard.
@@ -1003,70 +1013,84 @@ class TestExplorerSweep:
 
 
 class TestSamplerSelection:
-    def test_spec_validation(self):
-        with pytest.raises(ValueError, match="unknown sampler"):
-            small_spec(sampler="tableau")
+    # A job record exactly as stores have written it since the DEM
+    # sampler became the default, and the key it hashes to.
+    RECORD = (
+        '{"code": "repetition", "distance": 3, "capacity": 2, '
+        '"topology": "switch", "wiring": "standard", "gate_improvement": '
+        '1.0, "decoder": "mwpm", "rounds": 2, "shots": 512, "basis": "Z", '
+        '"target_failures": 10, "max_shots": 5000, "sampler": "dem", '
+        '"target_rel_stderr": 0.1, "router": "layered", '
+        '"placer": "projection"}'
+    )
+    KEY = ("repetition-d3-c2-switch-standard-layered-x1-mwpm-r2-n512-"
+           "f10-rse0.1of5000-246b28f12171")
 
-    def test_frame_keys_are_fast_path_free(self):
-        # The opt-out contract: a frame job's key hashes exactly the
-        # fields it had before the DEM-direct sampler existed, so
-        # shard RNG streams and stored results are bit-identical to
-        # pre-fast-path sweeps.
-        frame = small_spec(sampler="frame").expand()[0]
-        dem = small_spec(sampler="dem").expand()[0]
-        assert frame.key != dem.key
-        legacy = frame.to_dict()
+    def test_job_record_line_format_and_key_are_stable(self):
+        job = SweepJob.from_dict(json.loads(self.RECORD))
+        assert json.dumps(job.to_dict()) == self.RECORD
+        assert job.key == self.KEY
+
+    def test_from_dict_rejects_non_dem_records(self):
+        frame = {**json.loads(self.RECORD), "sampler": "frame"}
+        legacy = json.loads(self.RECORD)
         del legacy["sampler"]
-        assert SweepJob.from_dict(legacy).key == frame.key
+        for data in (frame, legacy):
+            with pytest.raises(ValueError, match="not a DEM-sampled"):
+                SweepJob.from_dict(data)
 
-    def test_legacy_store_dicts_resume_as_frame(self):
-        job = SweepJob.from_dict(
-            dict(code="rotated_surface", distance=2, capacity=2,
-                 topology="grid", wiring="standard", gate_improvement=1.0,
-                 decoder="mwpm", rounds=2, shots=SHOTS)
-        )
-        assert job.sampler == "frame"
+    def test_store_resumes_only_dem_records(self, tmp_path):
+        # A store in the established line format holding a DEM record,
+        # a frame-sampled record and a record from before the DEM
+        # sampler (no sampler field) for the same design point.  The
+        # later two are written last, so if they were rebuilt as DEM
+        # jobs they would win on resume; they must be skipped instead.
+        path = tmp_path / "r.jsonl"
+        spec = small_spec(distances=(2,))
+        [dem] = run_sweep(spec, results_path=str(path), shard_shots=SHARD)
+        [line] = path.read_text().splitlines()
+        record = json.loads(line)
+        assert record["job"]["sampler"] == "dem"
+        frame = json.loads(line)
+        frame["job"]["sampler"] = "frame"
+        frame["failures"] = SHOTS
+        legacy = json.loads(line)
+        del legacy["job"]["sampler"]
+        legacy["failures"] = SHOTS - 1
+        with open(path, "a") as fh:
+            for other in (frame, legacy):
+                fh.write(json.dumps(other) + "\n")
+        assert list(ResultStore(str(path)).load()) == [dem.key]
+        [resumed] = run_sweep(spec, results_path=str(path), shard_shots=SHARD)
+        assert resumed.resumed
+        assert resumed.key == dem.key
+        assert resumed.failures == dem.failures
+        assert dem.failures not in (SHOTS, SHOTS - 1)
 
-    def test_frame_sweep_matches_direct_frame_sampling(self):
-        # Bit-identity: the frame opt-out must reproduce exactly what
-        # plan_shards + FrameSimulator + the decoder compute by hand.
-        from repro.engine import CompilationCache as Cache
-        from repro.engine.runner import compile_design_point
-        from repro.noise.parameters import DEFAULT_NOISE
-
-        spec = small_spec(distances=(2,), sampler="frame")
-        [result] = run_sweep(spec, shard_shots=SHARD)
-        [job] = spec.expand()
-        art = compile_design_point(job, DEFAULT_NOISE, need_circuit=True)
-        cache = Cache()
-        compiled = cache.compiled(art.circuit, art.text)
-        decoder = cache.decoder(compiled, job.decoder)
-        failures = 0
-        for shard in plan_shards(job.shots, SHARD, spec.master_seed, job.key):
-            sample = FrameSimulator(compiled.circuit, seed=shard.seed).sample(
-                shard.shots
-            )
-            failures += int(decoder.logical_failures(
-                sample.detectors, sample.observables
-            ).sum())
-        assert result.failures == failures
-
-    def test_dem_and_frame_sweeps_are_distinct_experiments(self, tmp_path):
-        # Same design point, both samplers, one store: both records
-        # coexist (distinct keys) and both resume.
-        path = str(tmp_path / "r.jsonl")
-        [dem] = run_sweep(small_spec(distances=(2,)), results_path=path,
+    def test_sampling_sweep_keeps_foreign_records(self, tmp_path):
+        # A sweep that samples checkpoints shards and then compacts the
+        # store; the frame-sampled and pre-DEM-sampler records it cannot
+        # load are well-formed, not corrupt, and must survive that.
+        spec = small_spec(distances=(2,))
+        [dem] = run_sweep(spec, results_path=str(tmp_path / "dem.jsonl"),
                           shard_shots=SHARD)
-        [frame] = run_sweep(small_spec(distances=(2,), sampler="frame"),
-                            results_path=path, shard_shots=SHARD)
-        assert dem.key != frame.key
-        [dem2] = run_sweep(small_spec(distances=(2,)), results_path=path,
-                           shard_shots=SHARD)
-        [frame2] = run_sweep(small_spec(distances=(2,), sampler="frame"),
-                             results_path=path, shard_shots=SHARD)
-        assert dem2.resumed and frame2.resumed
-        assert dem2.failures == dem.failures
-        assert frame2.failures == frame.failures
+        [line] = (tmp_path / "dem.jsonl").read_text().splitlines()
+        frame = json.loads(line)
+        frame["job"]["sampler"] = "frame"
+        legacy = json.loads(line)
+        del legacy["job"]["sampler"]
+        foreign = [json.dumps(frame), json.dumps(legacy)]
+        path = tmp_path / "mixed.jsonl"
+        path.write_text("".join(f + "\n" for f in foreign))
+        runner = Runner(spec, results_path=str(path), shard_shots=SHARD)
+        [fresh] = runner.run()
+        assert not fresh.resumed
+        assert fresh.failures == dem.failures
+        assert runner._checkpointed
+        lines = path.read_text().splitlines()
+        assert lines[:2] == foreign
+        assert len(lines) == 3
+        assert json.loads(lines[2])["job"]["sampler"] == "dem"
 
     def test_dem_sweep_serial_equals_multiprocess(self):
         spec = small_spec()  # default sampler: dem
@@ -1112,8 +1136,8 @@ class TestDistanceMatrixCache:
 
             def _send(self, worker, message):
                 if message[0] == "prime":
-                    # ("prime", key, text, dem, sdem, dmat, epoch)
-                    self.prime_dmats.append(message[5])
+                    # ("prime", key, dem, sdem, dmat, epoch)
+                    self.prime_dmats.append(message[4])
                 super()._send(worker, message)
 
         spec = small_spec(distances=(2,))
@@ -1197,7 +1221,7 @@ class TestDiskCacheEviction:
 
             def _send(self, worker, message):
                 if message[0] == "prime":
-                    self.prime_dmats.append((worker, message[5]))
+                    self.prime_dmats.append((worker, message[4]))
                 elif message[0] == "dmat":
                     self.dmat_messages.append((worker, message[1]))
                 super()._send(worker, message)

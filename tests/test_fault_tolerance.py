@@ -411,8 +411,8 @@ class TestDriverKill:
         # the same (shots, failures) as an uninterrupted run.
         path = str(tmp_path / "adaptive.jsonl")
         spec = dict(
-            distances=(2,), rounds=2, shots=512, master_seed=11,
-            target_failures=200, max_shots=30000, sampler="frame",
+            distances=(5,), rounds=3, shots=512, master_seed=11,
+            target_failures=50, max_shots=30000,
         )
         reference = run_sweep(SweepSpec(**spec), shard_shots=256)
         script = textwrap.dedent(f"""
@@ -424,8 +424,9 @@ class TestDriverKill:
         """)
         proc = run_sweep_driver(script)
         try:
-            # The frame sampler keeps shards slow enough to observe;
-            # kill as soon as a few checkpoints are on disk.
+            # d=5 MWPM shards take tens of milliseconds each, slow
+            # enough to observe; kill as soon as a few checkpoints are
+            # on disk.
             assert wait_for_shard_lines(path, 2, timeout=120), \
                 "driver wrote no shard checkpoints"
             proc.send_signal(signal.SIGKILL)
@@ -504,10 +505,7 @@ class TestDriverKill:
 
     def test_sigkilled_fixed_shot_driver_resumes_mid_job(self, tmp_path):
         path = str(tmp_path / "fixed.jsonl")
-        spec = dict(
-            distances=(2,), rounds=2, shots=20000, master_seed=5,
-            sampler="frame",
-        )
+        spec = dict(distances=(5,), rounds=3, shots=4096, master_seed=5)
         script = textwrap.dedent(f"""
             from repro.engine import SweepSpec, run_sweep
             print("READY", flush=True)
@@ -532,9 +530,9 @@ class TestDriverKill:
                               shard_shots=256, backend=backend)
         executed = {index for _key, index in backend.executed}
         assert not executed & checkpointed
-        # All 79 shards accounted for exactly once across both runs.
-        assert len(executed | checkpointed) == 79
-        assert resumed.shots == 20000
+        # All 16 shards accounted for exactly once across both runs.
+        assert len(executed | checkpointed) == 16
+        assert resumed.shots == 4096
         # Bit-identity with a run that never died.
         [reference] = run_sweep(SweepSpec(**spec), shard_shots=256)
         assert resumed.failures == reference.failures

@@ -106,7 +106,7 @@ class TestShardWindows:
         spec, job, compiled, decoder, sampler = compiled_point
         for shard in plan_shards(job.shots, SHARD, spec.master_seed, job.key):
             whole, _, _ = sample_shard(
-                compiled.circuit, decoder, shard, sampler=sampler
+                decoder, shard, sampler=sampler
             )
             cuts = [0, shard.shots // 3, 2 * shard.shots // 3 + 5, shard.shots]
             windowed = 0
@@ -116,7 +116,7 @@ class TestShardWindows:
                     offset=lo, parent_shots=shard.shots,
                 )
                 failures, _, _ = sample_shard(
-                    compiled.circuit, decoder, window, sampler=sampler
+                    decoder, window, sampler=sampler
                 )
                 windowed += failures
             assert windowed == whole
@@ -126,7 +126,7 @@ class TestShardWindows:
         shard = Shard(0, SHARD, None)
         bogus = Shard(0, 64, shard.seed, offset=100, parent_shots=SHARD)
         with pytest.raises(ValueError, match="outside parent draw"):
-            sample_shard(compiled.circuit, decoder, bogus, sampler=sampler)
+            sample_shard(decoder, bogus, sampler=sampler)
 
 
 class TestWorkerMessages:
@@ -135,13 +135,13 @@ class TestWorkerMessages:
         # (kind, seq, value, elapsed_s, epoch, memo, phases).
         spec, job, compiled, _decoder, _sampler = compiled_point
         executor = ShardExecutor()
-        prime = ("prime", "ckt", compiled.text, dem_to_jsonable(compiled.dem),
+        prime = ("prime", "ckt", dem_to_jsonable(compiled.dem),
                  dem_to_jsonable(compiled.sampling_dem), None, 0)
         assert handle_worker_message(executor, prime) is None
         [shard] = plan_shards(SHARD, SHARD, spec.master_seed, job.key)
 
         def shard_message(seq, shots, offset, parent_shots, key="ckt"):
-            return ("shard", seq, key, job.decoder, "dem", shots,
+            return ("shard", seq, key, job.decoder, shots,
                     shard.seed, 0, offset, parent_shots)
 
         whole = handle_worker_message(executor, shard_message(0, SHARD, 0, None))
@@ -198,14 +198,11 @@ class StallingBackend:
     def _run(self, entry):
         task, compiled, cache = entry
         decoder = cache.decoder(compiled, task.decoder)
-        sampler = (
-            cache.dem_sampler(compiled) if task.sampler == "dem" else None
-        )
         failures, memo, phases = sample_shard(
-            compiled.circuit, decoder,
+            decoder,
             Shard(task.shard_index, task.shots, task.seed,
                   offset=task.offset, parent_shots=task.parent_shots),
-            sampler=sampler,
+            cache.dem_sampler(compiled),
         )
         self.executed.append(task.seq)
         return [ShardOutcome(task.seq, task.job_key, task.shots, failures,

@@ -71,11 +71,6 @@ GOLDEN_KEYS = [
         "rotated_surface-d3-c2-grid-standard-x1-mwpm-r3-n2000-8318537a3656",
     ),
     (
-        SweepJob("rotated_surface", 5, 2, "linear", "wise", 5.0, "union_find",
-                 5, 1000, sampler="frame"),
-        "rotated_surface-d5-c2-linear-wise-x5-union_find-r5-n1000-2238d6bc3eba",
-    ),
-    (
         SweepJob("repetition", 3, 2, "switch", "standard", 1.0, "mwpm",
                  2, 512, target_failures=10, max_shots=5000),
         "repetition-d3-c2-switch-standard-x1-mwpm-r2-n512-f10of5000-c6e57650aa5a",
@@ -129,8 +124,8 @@ class TestDefaultBitIdentity:
 
     def test_non_default_strategies_change_the_key(self):
         base, key = GOLDEN_KEYS[0]
-        routed = SweepJob(**{**base.to_dict(), "router": "layered"})
-        placed = SweepJob(**{**base.to_dict(), "placer": "window"})
+        routed = SweepJob.from_dict({**base.to_dict(), "router": "layered"})
+        placed = SweepJob.from_dict({**base.to_dict(), "placer": "window"})
         assert routed.key != key and "layered" in routed.key
         assert placed.key != key and "window" in placed.key
 

@@ -68,12 +68,12 @@ def point():
     [job] = spec.expand()
     art = compile_design_point(job, DEFAULT_NOISE, need_circuit=True)
     compiled = CompilationCache().compiled(art.circuit, art.text)
-    prime = ("prime", "ckt", compiled.text, dem_to_jsonable(compiled.dem),
+    prime = ("prime", "ckt", dem_to_jsonable(compiled.dem),
              dem_to_jsonable(compiled.sampling_dem), None, 0)
     [shard] = plan_shards(SHARD, SHARD, spec.master_seed, job.key)
 
     def shard_message(seq):
-        return ("shard", seq, "ckt", job.decoder, "dem", SHARD,
+        return ("shard", seq, "ckt", job.decoder, SHARD,
                 shard.seed, 0, 0, None)
 
     return prime, shard_message
@@ -206,7 +206,7 @@ class TestHandler:
         assert not telemetry.get().enabled
 
     def test_prime_error_reply_has_fixed_shape(self):
-        bad = ("prime", "ckt", "NOT_AN_INSTRUCTION 0", None, None, None, 4)
+        bad = ("prime", "ckt", {"not": "a dem"}, None, None, 4)
         reply = handle_worker_message(ShardExecutor(), bad)
         assert len(reply) == 7
         assert reply[:2] == ("error", None)
@@ -258,5 +258,5 @@ class TestDriver:
         shards = [m for _, m in backend.sent if m[0] == "shard"]
         assert len(shards) == SHOTS // SHARD
         # Whole planned shards: offset 0, no parent draw.
-        assert {(len(m), m[8], m[9]) for m in shards} == {(10, 0, None)}
+        assert {(len(m), m[7], m[8]) for m in shards} == {(9, 0, None)}
         assert set(result.extras["memo"]) == {"hits", "misses", "entries"}
