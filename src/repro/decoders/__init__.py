@@ -3,6 +3,9 @@
 - :class:`DetectorGraph` — weighted syndrome graph with boundary node.
 - :class:`MwpmDecoder` — minimum-weight perfect matching (cluster-
   decomposed exact DP with a blossom fallback).
+- :func:`blossom.max_weight_matching` — the in-repo blossom matcher
+  behind that fallback, a dense-matrix port of networkx's that returns
+  the same matchings (networkx is not a decoder dependency).
 - :class:`UnionFindDecoder` — almost-linear union-find decoding, with a
   batched vectorised kernel behind the packed decode protocol.
 - :class:`LookupDecoder` — exhaustive oracle for small models (tests).
