@@ -187,15 +187,9 @@ def max_weight_matching(weights: np.ndarray) -> list[int]:
                 ):
                     bestedgeto[bj] = k
             bestedge[bv] = None
-        mine = mybestedges[b] = list(bestedgeto.values())
-        mybestedge = None
-        mybestslack = 0.0
-        for k in mine:
-            kslack = slack(k)
-            if mybestedge is None or kslack < mybestslack:
-                mybestedge = k
-                mybestslack = kslack
-        bestedge[b] = mybestedge
+        mybestedges[b] = list(bestedgeto.values())
+        # min() keeps the first least-slack edge, as a strict-< scan does.
+        bestedge[b] = min(mybestedges[b], key=slack, default=None)
 
     def expand_blossom(b: int, endstage: bool) -> None:
         # Turn b's sub-blossoms into top-level blossoms, then drop b.
@@ -260,10 +254,7 @@ def max_weight_matching(weights: np.ndarray) -> list[int]:
                     label[mate[blossombase[bv]]] = 0
                     assign_label(v, 2, labeledge[v][0])
                 j += jstep
-        label[b] = 0
-        labeledge[b] = None
-        bestedge[b] = None
-        del blossomdual[b]
+        del blossomdual[b]  # retires b; its id is never reused
 
     def augment_blossom(b: int, v: int) -> None:
         # Swap matched/unmatched edges along the path from v to b's base.
