@@ -9,16 +9,16 @@
 - :class:`UnionFindDecoder` — almost-linear union-find decoding, with a
   batched vectorised kernel behind the packed decode protocol.
 - :class:`LookupDecoder` — exhaustive oracle for small models (tests).
-- :class:`BatchDecoderMixin` / :func:`decode_packed_dedup` /
-  :func:`decode_batch_dedup` — shared packed-native deduplicated batch
-  decoding (``decode_packed_batch`` / ``logical_failures_packed``) with
-  a cross-shard syndrome memo.
+- :func:`make_decoder` — the sampling decoders by name (``mwpm`` /
+  ``union_find``), as the engine builds them.
+- :class:`BatchDecoderMixin` / :func:`decode_packed_dedup` — shared
+  packed-native deduplicated batch decoding (``decode_packed_batch`` /
+  ``logical_failures_packed``) with a cross-shard syndrome memo.
 """
 
 from .batch import (
     BatchDecoderMixin,
     SyndromeMemo,
-    decode_batch_dedup,
     decode_packed_dedup,
     unique_packed_rows,
 )
@@ -27,10 +27,19 @@ from .lookup import LookupDecoder
 from .mwpm import MwpmDecoder
 from .union_find import UnionFindDecoder
 
+
+def make_decoder(graph: DetectorGraph, name: str):
+    """A fresh ``mwpm`` or ``union_find`` decoder over ``graph``."""
+    if name == "mwpm":
+        return MwpmDecoder(graph)
+    if name == "union_find":
+        return UnionFindDecoder(graph)
+    raise ValueError(f"unknown decoder {name!r}; expected mwpm or union_find")
+
+
 __all__ = [
     "BatchDecoderMixin",
     "SyndromeMemo",
-    "decode_batch_dedup",
     "decode_packed_dedup",
     "unique_packed_rows",
     "DetectorEdge",
@@ -39,4 +48,5 @@ __all__ = [
     "LookupDecoder",
     "MwpmDecoder",
     "UnionFindDecoder",
+    "make_decoder",
 ]

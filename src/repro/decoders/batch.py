@@ -29,9 +29,12 @@ top of its scalar ``decode``:
   engine calls: packed words in, one observable bitmask per shot out;
 - ``logical_failures_packed(det_words, obs_words)`` — the per-shot
   failure reduction, reading the actual observable straight from the
-  packed words;
-- ``decode_batch`` / ``logical_failures`` — boolean-boundary
-  conveniences that pack once and delegate.
+  packed words.
+
+There is no boolean entry point: callers holding boolean rows pack
+them with :func:`~repro.sim.dem_sampler.pack_bool_rows`, and the
+scalar ``decode`` stays the per-shot reference the exactness tests
+diff against.
 
 A decoder with a vectorised kernel overrides ``decode_unique_words``
 (see :class:`~repro.decoders.union_find.UnionFindDecoder`); everything
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..sim.dem_sampler import pack_bool_rows, unpack_bool_rows
+from ..sim.dem_sampler import unpack_bool_rows
 from ..telemetry import span
 
 # Cross-shard memo bound: distinct syndromes are few at the error rates
@@ -160,41 +163,6 @@ def decode_packed_dedup(
         return corrections[inverse.reshape(-1)]
 
 
-def scalar_unique_adapter(decode_one, bits: int):
-    """Adapt a scalar ``decode_one(bool_row) -> mask`` to the batched
-    ``decode_unique_words`` shape: unpack only the given distinct rows
-    and map the scalar decode over them."""
-
-    def decode_unique(words: np.ndarray) -> np.ndarray:
-        rows = unpack_bool_rows(words, bits)
-        return np.fromiter(
-            (int(decode_one(row)) for row in rows),
-            dtype=np.int64,
-            count=len(rows),
-        )
-
-    return decode_unique
-
-
-def decode_batch_dedup(
-    decode_one,
-    detector_samples: np.ndarray,
-    memo: SyndromeMemo | None = None,
-) -> np.ndarray:
-    """Boolean-boundary wrapper over :func:`decode_packed_dedup`.
-
-    ``decode_one`` maps one boolean detector row to an observable
-    bitmask; rows are packed once, deduplicated in packed form, and
-    only the distinct missing rows are unpacked back for ``decode_one``.
-    """
-    samples = np.atleast_2d(np.asarray(detector_samples, dtype=bool))
-    return decode_packed_dedup(
-        scalar_unique_adapter(decode_one, samples.shape[1]),
-        pack_bool_rows(samples),
-        memo=memo,
-    )
-
-
 class BatchDecoderMixin:
     """Shared packed-native batch API plus the failure reduction every
     estimator consumes.
@@ -202,9 +170,7 @@ class BatchDecoderMixin:
     Subclasses provide scalar ``decode(detector_sample) -> int`` and a
     ``num_detectors`` attribute (set in ``__init__``); a decoder with a
     vectorised batch kernel additionally overrides
-    ``decode_unique_words``.  Set ``dedupe=False`` per call to force the
-    one-scalar-decode-per-shot reference path (the exactness tests diff
-    the two).
+    ``decode_unique_words``.
     """
 
     _memo: SyndromeMemo | None = None
@@ -223,39 +189,23 @@ class BatchDecoderMixin:
         rows — never the full shot batch — and maps ``decode``.
         Vectorised decoders override this with their batched kernel.
         """
-        return scalar_unique_adapter(self.decode, self.num_detectors)(det_words)
-
-    def decode_packed_batch(
-        self, det_words: np.ndarray, *, dedupe: bool = True
-    ) -> np.ndarray:
-        """Observable bitmask per shot for packed ``(shots, words)``
-        syndromes — the pipeline's native decoder entry point."""
-        words = np.atleast_2d(np.ascontiguousarray(det_words, dtype=np.uint64))
-        if not dedupe:
-            rows = unpack_bool_rows(words, self.num_detectors)
-            return np.array([self.decode(row) for row in rows], dtype=np.int64)
-        return decode_packed_dedup(
-            self.decode_unique_words, words, memo=self.syndrome_memo()
+        rows = unpack_bool_rows(det_words, self.num_detectors)
+        return np.fromiter(
+            (int(self.decode(row)) for row in rows),
+            dtype=np.int64,
+            count=len(rows),
         )
 
-    def decode_batch(
-        self, detector_samples: np.ndarray, *, dedupe: bool = True
-    ) -> np.ndarray:
-        """Boolean-boundary convenience: packs once, then decodes packed."""
-        samples = np.atleast_2d(np.asarray(detector_samples, dtype=bool))
-        if not dedupe:
-            return np.array(
-                [self.decode(row) for row in samples], dtype=np.int64
-            )
-        return self.decode_packed_batch(pack_bool_rows(samples))
+    def decode_packed_batch(self, det_words: np.ndarray) -> np.ndarray:
+        """Observable bitmask per shot for packed ``(shots, words)``
+        syndromes — the pipeline's native decoder entry point."""
+        return decode_packed_dedup(
+            self.decode_unique_words, det_words, memo=self.syndrome_memo()
+        )
 
     # ------------------------------------------------------------------
     def logical_failures_packed(
-        self,
-        det_words: np.ndarray,
-        obs_words: np.ndarray,
-        *,
-        dedupe: bool = True,
+        self, det_words: np.ndarray, obs_words: np.ndarray
     ) -> np.ndarray:
         """Per-shot bool: did decoding fail to fix observable 0?
 
@@ -263,23 +213,10 @@ class BatchDecoderMixin:
         read from bit 0 of the first obs word, so no boolean matrix is
         ever materialised on the engine's hot path.
         """
-        corrections = self.decode_packed_batch(det_words, dedupe=dedupe)
+        corrections = self.decode_packed_batch(det_words)
         obs = np.atleast_2d(np.ascontiguousarray(obs_words, dtype=np.uint64))
         if obs.shape[1]:
             actual = (obs[:, 0] & np.uint64(1)).astype(np.int64)
         else:
             actual = np.zeros(obs.shape[0], dtype=np.int64)
         return (corrections & 1) != actual
-
-    def logical_failures(
-        self,
-        detector_samples: np.ndarray,
-        observable_samples: np.ndarray,
-        *,
-        dedupe: bool = True,
-    ) -> np.ndarray:
-        """Boolean-boundary failure reduction (packs and delegates)."""
-        corrections = self.decode_batch(detector_samples, dedupe=dedupe)
-        actual = np.atleast_2d(observable_samples)[:, 0].astype(np.int64)
-        predicted = corrections & 1
-        return predicted != actual

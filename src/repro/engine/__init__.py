@@ -19,6 +19,9 @@ The uniform harness behind the paper's figure sweeps:
   so failure counts merge bit-identically, and a dead worker's shards
   are resubmitted to survivors (``runner.py``, ``pool.py``,
   ``worker.py``, ``remote.py``);
+- :func:`sample_circuit` — the same cache, shard plan and scheduler
+  over one ad-hoc circuit, fixed-shot or adaptive; every
+  :mod:`repro.ler` estimator samples through it (``runner.py``);
 - :class:`ResultStore` / :class:`JobResult` / :class:`ShardRecord` —
   JSON-lines persistence with resume at job *and* shard granularity:
   completed job keys are skipped, and an interrupted job resumes from
@@ -50,7 +53,7 @@ from .runner import (
     compile_design_point,
     plan_shards,
     run_sweep,
-    sample_adaptive,
+    sample_circuit,
 )
 from .scheduler import JobState, ShardOutcome, ShardTask, StreamScheduler
 from .sweep import SweepJob, SweepSpec
@@ -75,7 +78,7 @@ __all__ = [
     "circuit_key",
     "Runner",
     "run_sweep",
-    "sample_adaptive",
+    "sample_circuit",
     "SerialBackend",
     "MultiprocessBackend",
     "RemoteBackend",

@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..decoders import make_decoder
 from ..decoders.graph import DetectorGraph
-from ..ler.estimator import make_decoder
 from ..sim.circuit import StabilizerCircuit
 from ..sim.dem import DemError, DetectorErrorModel, circuit_to_dems
 from ..sim.dem_sampler import DemSampler

@@ -29,6 +29,11 @@ changes only where a shard runs, never what it samples.  Adaptive jobs
 (``target_failures`` set) trade that equivalence for early stopping:
 the scheduler retires them at their failure target and reinvests the
 freed capacity in unconverged design points.
+
+:func:`sample_circuit` runs one ad-hoc circuit (no design point, no
+store) through the same cache, shard plan and scheduler; it is the
+sampler behind :func:`repro.ler.estimate_logical_error_rate` and
+:func:`repro.ler.estimate_until_failures`.
 """
 
 from __future__ import annotations
@@ -690,61 +695,56 @@ def run_sweep(spec: SweepSpec, **kwargs) -> list[JobResult]:
 
 
 # ----------------------------------------------------------------------
-# Ad-hoc adaptive sampling (the engine face of estimate_until_failures)
+# Ad-hoc circuit sampling (the engine face of the repro.ler estimators)
 # ----------------------------------------------------------------------
-def sample_adaptive(
+def sample_circuit(
     circuit: StabilizerCircuit,
+    shots: int,
     *,
     decoder: str = "mwpm",
-    target_failures: int | None = 20,
+    target_failures: int | None = None,
     target_rel_stderr: float | None = None,
-    max_shots: int = 10 ** 6,
-    shard_shots: int = 5000,
+    shard_shots: int = DEFAULT_SHARD_SHOTS,
     seed: int | None = None,
     backend=None,
-    cache: CompilationCache | None = None,
 ) -> tuple[int, int]:
-    """Sample ``circuit`` until ``target_failures`` failures (or, when
-    ``target_rel_stderr`` is set, until the estimate's relative
-    standard error falls below that bound) or the ``max_shots``
-    budget, whichever comes first.
-
-    The first satisfied target retires the job, so a tight precision
-    bound needs ``target_failures=None`` (precision-only stopping) —
-    otherwise the failure count fires first and caps the achievable
-    precision at roughly ``1/sqrt(target_failures)``.
-
-    Runs the same scheduler / shard plan machinery as a sweep job, so
-    results are deterministic for a given ``seed`` and the sampling can
-    be fanned out over a :class:`MultiprocessBackend`.  Returns
+    """Sample and decode one ad-hoc ``circuit``; returns
     ``(shots, failures)``.
+
+    Without a target this runs a fixed plan of ``shots`` shots.  With
+    ``target_failures`` and/or ``target_rel_stderr`` set, ``shots`` is
+    the budget: sampling stops at that many failures, once the
+    estimate's relative standard error falls below the bound, or when
+    the budget is spent, whichever comes first.  The first satisfied
+    target retires the job, so a tight precision bound needs
+    ``target_failures=None`` (precision-only stopping) — otherwise the
+    failure count fires first and caps the achievable precision at
+    roughly ``1/sqrt(target_failures)``.
+
+    Runs the same cache / shard plan / scheduler machinery as a sweep
+    job, so results are deterministic for a given ``seed`` and a fixed
+    plan's failure count is identical on every backend (pass a
+    :class:`MultiprocessBackend` to fan the shards out over workers).
     """
-    if target_failures is None and target_rel_stderr is None:
-        raise ValueError(
-            "need target_failures and/or target_rel_stderr (otherwise use "
-            "a fixed-shot sweep)"
-        )
+    if shots < 1:
+        raise ValueError("shots must be positive")
     if target_failures is not None and target_failures < 1:
         raise ValueError("target_failures must be positive")
     if target_rel_stderr is not None and target_rel_stderr <= 0:
         raise ValueError("target_rel_stderr must be positive")
-    if shard_shots < 1 or max_shots < shard_shots:
-        raise ValueError("need max_shots >= shard_shots >= 1")
-    cache = cache if cache is not None else CompilationCache()
+    cache = CompilationCache()
     compiled = cache.compiled(circuit)
     if seed is None:
         seed = int(np.random.SeedSequence().entropy) & 0xFFFFFFFF
     own_backend = backend is None
     backend = backend if backend is not None else SerialBackend()
-    plan = plan_shards(max_shots, shard_shots, seed, compiled.key)
     state = JobState(
         key=compiled.key,
         compiled=compiled,
         decoder=decoder,
-        plan=plan,
+        plan=plan_shards(shots, shard_shots, seed, compiled.key),
         target_failures=target_failures,
         target_rel_stderr=target_rel_stderr,
-        tranche_shards=len(plan),
     )
     scheduler = StreamScheduler(backend, cache)
     try:

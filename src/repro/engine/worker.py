@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..decoders import make_decoder
 from ..decoders.graph import DetectorGraph
-from ..ler.estimator import make_decoder
 from ..sim.dem_sampler import DemSampler, PackedShard
 from ..telemetry import configure as configure_telemetry
 from ..telemetry import get as active_telemetry

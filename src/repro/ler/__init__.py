@@ -5,7 +5,6 @@ from .estimator import (
     estimate_logical_error_rate,
     estimate_sweep,
     estimate_until_failures,
-    make_decoder,
 )
 from .projection import LerProjection, fit_projection
 from .threshold import ThresholdScan, scan_threshold
@@ -15,7 +14,6 @@ __all__ = [
     "estimate_logical_error_rate",
     "estimate_sweep",
     "estimate_until_failures",
-    "make_decoder",
     "LerProjection",
     "fit_projection",
     "ThresholdScan",

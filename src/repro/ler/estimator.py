@@ -1,9 +1,12 @@
 """Monte-Carlo logical error rate estimation (Sec. 6.4).
 
-Pipeline: noisy circuit -> detector error model -> decoder -> sampled
-failure rate.  Reports both per-shot and per-round logical error
-rates; the per-round figure (what the paper plots) treats the shot as
-``rounds`` independent opportunities to fail:
+Pipeline: noisy circuit -> detector error model -> sample -> dedupe ->
+decode -> failure rate.  Every estimator here runs the engine's one
+sampling path (:func:`repro.engine.sample_circuit` for a single
+circuit, :func:`repro.engine.run_sweep` for a grid).  Reports both
+per-shot and per-round logical error rates; the per-round figure (what
+the paper plots) treats the shot as ``rounds`` independent
+opportunities to fail:
 ``p_round = 1 - (1 - p_shot)^(1/rounds)``.
 """
 
@@ -12,13 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..decoders.graph import DetectorGraph
-from ..decoders.mwpm import MwpmDecoder
-from ..decoders.union_find import UnionFindDecoder
 from ..sim.circuit import StabilizerCircuit
-from ..sim.dem import circuit_to_dem
-from ..sim.dem_sampler import PackedShard
-from ..sim.frame import FrameSimulator
 
 
 @dataclass(frozen=True)
@@ -61,12 +58,11 @@ class LerResult:
         return self.failures > 0
 
 
-def make_decoder(graph: DetectorGraph, name: str):
-    if name == "mwpm":
-        return MwpmDecoder(graph)
-    if name == "union_find":
-        return UnionFindDecoder(graph)
-    raise ValueError(f"unknown decoder {name!r}; expected mwpm or union_find")
+def _check_rounds(rounds: int) -> None:
+    # Checked before sampling: LerResult would reject it only after the
+    # whole shot budget had been spent.
+    if rounds < 1:
+        raise ValueError(f"rounds must be positive, got {rounds}")
 
 
 def estimate_logical_error_rate(
@@ -76,19 +72,17 @@ def estimate_logical_error_rate(
     decoder: str = "mwpm",
     seed: int | None = None,
 ) -> LerResult:
-    """Sample-and-decode LER estimate for a noisy memory circuit."""
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    dem = circuit_to_dem(circuit)
-    graph = DetectorGraph.from_dem(dem)
-    dec = make_decoder(graph, decoder)
-    sample = FrameSimulator(circuit, seed=seed).sample(shots)
-    # Pack once at the sampler boundary; decode over the packed words
-    # (the same flow an engine shard uses).
-    packed = PackedShard.from_bool(sample.detectors, sample.observables)
-    failures = int(
-        dec.logical_failures_packed(packed.det_words, packed.obs_words).sum()
-    )
+    """Sample-and-decode LER estimate for a noisy memory circuit.
+
+    Runs the engine's fixed-shot plan over ``circuit`` in process:
+    syndromes are drawn from its detector error model in shards of
+    ``DEFAULT_SHARD_SHOTS`` shots, each on its own ``SeedSequence``
+    stream spawned from ``seed``, and decoded with deduplication.
+    """
+    _check_rounds(rounds)
+    from ..engine.runner import sample_circuit  # deferred: engine builds on this module
+
+    shots, failures = sample_circuit(circuit, shots, decoder=decoder, seed=seed)
     return LerResult(shots=shots, failures=failures, rounds=rounds)
 
 
@@ -120,20 +114,21 @@ def estimate_until_failures(
     ``1/sqrt(min_failures)`` needs ``min_failures=None``
     (precision-only stopping, up to the ``max_shots`` budget).
     """
+    _check_rounds(rounds)
     if min_failures is None and target_rel_stderr is None:
         raise ValueError("need min_failures and/or target_rel_stderr")
     if min_failures is not None and min_failures < 1:
         raise ValueError("min_failures must be positive")
     if batch < 1 or max_shots < batch:
         raise ValueError("need max_shots >= batch >= 1")
-    from ..engine.runner import sample_adaptive  # deferred: engine builds on this module
+    from ..engine.runner import sample_circuit  # deferred: engine builds on this module
 
-    shots, failures = sample_adaptive(
+    shots, failures = sample_circuit(
         circuit,
+        max_shots,
         decoder=decoder,
         target_failures=min_failures,
         target_rel_stderr=target_rel_stderr,
-        max_shots=max_shots,
         shard_shots=batch,
         seed=seed,
         backend=backend,
@@ -149,9 +144,11 @@ def estimate_sweep(spec, **runner_options):
     ``cache`` / ``cache_dir``, ``store`` / ``results_path``,
     ``shard_shots``, ``progress``, ...).  Returns the engine's
     :class:`repro.engine.JobResult` list, whose ``ler`` property yields
-    a :class:`LerResult` per sampled job.  Unlike
-    :func:`estimate_logical_error_rate`, circuits shared between jobs
-    are compiled once and shots may be sharded over worker processes.
+    a :class:`LerResult` per sampled job.  The single-circuit
+    estimators above run the same shard plan over one ad-hoc circuit;
+    a sweep adds the design-point grid (compile, noise model), the
+    result store and resume, and compiles circuits shared between jobs
+    once.
     """
     from ..engine.runner import run_sweep  # deferred: engine builds on this module
 

@@ -6,10 +6,12 @@ Public surface:
 - :class:`StabilizerCircuit` — circuit IR with noise channels,
   DETECTOR and OBSERVABLE_INCLUDE annotations (Stim-style semantics).
 - :class:`TableauSimulator` — exact Aaronson-Gottesman simulation.
-- :class:`FrameSimulator` — vectorised Pauli-frame sampling.
+- :class:`FrameSimulator` — vectorised Pauli-frame sampling, the
+  exact reference oracle the tests check the DEM sampler against.
 - :func:`circuit_to_dem` — detector-error-model extraction.
-- :class:`DemSampler` — bit-packed DEM-direct syndrome sampling (the
-  fast path; the frame simulator is its reference oracle).
+- :class:`DemSampler` — bit-packed DEM-direct syndrome sampling, the
+  one sampler behind every logical error rate (engine shards and the
+  :mod:`repro.ler` estimators).
 - :class:`PackedShard` — packed uint64 syndrome batch, the native
   currency of the sampling -> decoding pipeline.
 """

@@ -1,8 +1,8 @@
 """DEM-direct sampling: bit-packed Monte-Carlo over error mechanisms.
 
 The :class:`~repro.sim.frame.FrameSimulator` replays the entire noisy
-circuit gate-by-gate for every shot shard.  That work is redundant once
-the circuit's :class:`~repro.sim.dem.DetectorErrorModel` is known: each
+circuit gate-by-gate for every shot.  That work is redundant once the
+circuit's :class:`~repro.sim.dem.DetectorErrorModel` is known: each
 mechanism flips a *fixed* set of detectors and observables, so a shot is
 nothing but "which mechanisms fired", and its syndrome is the XOR of the
 firing mechanisms' symptom sets.
@@ -34,8 +34,10 @@ The result stays packed: :meth:`DemSampler.sample_packed` returns a
 :class:`PackedShard` of uint64 words that flows through the engine and
 into the decoders' ``decode_packed_batch`` protocol without ever
 materialising boolean ``(shots, detectors)`` matrices.  Boolean arrays
-are now strictly a boundary representation (:meth:`DemSampler.sample`,
-and :meth:`PackedShard.from_bool` for frame-simulator output).
+are strictly a boundary representation (:meth:`DemSampler.sample` and
+the :class:`PackedShard` views).  This is the only sampler behind
+logical error rates: every engine shard and every
+:mod:`repro.ler` estimate draws from it.
 
 Fidelity
 --------
@@ -137,26 +139,6 @@ class PackedShard:
         word, bit = divmod(index, 64)
         return (self.obs_words[:, word] >> np.uint64(bit)) & np.uint64(1) != 0
 
-    @classmethod
-    def from_bool(
-        cls, detectors: np.ndarray, observables: np.ndarray
-    ) -> "PackedShard":
-        """Pack boolean sampler output once at the pipeline boundary
-        (the frame-simulator path enters the packed flow here)."""
-        detectors = np.atleast_2d(np.asarray(detectors, dtype=bool))
-        observables = np.atleast_2d(np.asarray(observables, dtype=bool))
-        if len(detectors) != len(observables):
-            raise ValueError(
-                f"detector/observable shot counts disagree: "
-                f"{len(detectors)} vs {len(observables)}"
-            )
-        return cls(
-            det_words=pack_bool_rows(detectors),
-            obs_words=pack_bool_rows(observables),
-            num_detectors=detectors.shape[1],
-            num_observables=observables.shape[1],
-        )
-
 
 class DemSampler:
     """Samples detector/observable data straight from a DEM.
@@ -165,7 +147,7 @@ class DemSampler:
     the DEM), then call :meth:`sample` per shot shard.  Each shard draw
     is deterministic in its seed, so the engine's ``SeedSequence`` shard
     streams give bit-identical results across backends and worker
-    counts, exactly like the frame path.
+    counts.
     """
 
     def __init__(self, dem: DetectorErrorModel):

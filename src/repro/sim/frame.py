@@ -11,7 +11,10 @@ simulator uses and is exact for stabilizer circuits.
 
 All shots are processed simultaneously with boolean numpy arrays, so
 sampling one million shots of a distance-5 memory experiment takes
-seconds rather than hours.
+seconds rather than hours.  Logical error rates are not sampled here:
+:class:`~repro.sim.dem_sampler.DemSampler` is the pipeline's sampler,
+and this simulator is its exact reference oracle in the tests and the
+baseline of ``benchmarks/bench_sampling_decoding.py``.
 """
 
 from __future__ import annotations

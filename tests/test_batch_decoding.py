@@ -12,10 +12,9 @@ from repro.decoders import (
     MwpmDecoder,
     SyndromeMemo,
     UnionFindDecoder,
-    decode_batch_dedup,
     decode_packed_dedup,
 )
-from repro.sim import FrameSimulator, PackedShard, circuit_to_dem, pack_bool_rows
+from repro.sim import FrameSimulator, circuit_to_dem, pack_bool_rows, unpack_bool_rows
 
 
 @pytest.fixture(scope="module")
@@ -37,42 +36,62 @@ def _decoders(dem, graph):
     ]
 
 
+def _scalar_reference(decoder, detectors):
+    """One scalar ``decode`` per shot: the reference every batched and
+    deduplicated path must reproduce exactly."""
+    return np.array([decoder.decode(row) for row in detectors], dtype=np.int64)
+
+
+def _scalar_decode_words(decode_one, bits):
+    """A ``decode_unique_words`` callable mapping a scalar decode over
+    unpacked rows, for driving ``decode_packed_dedup`` directly."""
+    return lambda words: np.array(
+        [decode_one(row) for row in unpack_bool_rows(words, bits)],
+        dtype=np.int64,
+    )
+
+
 class TestDedupeExactness:
     def test_dedupe_matches_per_shot_decoding(self, setup):
         dem, graph, sample = setup
+        words = pack_bool_rows(sample.detectors)
         for decoder in _decoders(dem, graph):
-            fast = decoder.decode_batch(sample.detectors, dedupe=True)
-            slow = decoder.decode_batch(sample.detectors, dedupe=False)
+            fast = decoder.decode_packed_batch(words)
+            slow = _scalar_reference(decoder, sample.detectors)
             assert np.array_equal(fast, slow), type(decoder).__name__
 
-    def test_logical_failures_identical_with_dedupe_on_off(self, setup):
+    def test_logical_failures_match_per_shot_decoding(self, setup):
         dem, graph, sample = setup
+        det_words = pack_bool_rows(sample.detectors)
+        obs_words = pack_bool_rows(sample.observables)
         for decoder in _decoders(dem, graph):
-            on = decoder.logical_failures(
-                sample.detectors, sample.observables, dedupe=True
+            fails = decoder.logical_failures_packed(det_words, obs_words)
+            ref = (
+                (_scalar_reference(decoder, sample.detectors) & 1)
+                != sample.observables[:, 0]
             )
-            off = decoder.logical_failures(
-                sample.detectors, sample.observables, dedupe=False
-            )
-            assert np.array_equal(on, off), type(decoder).__name__
+            assert np.array_equal(fails, ref), type(decoder).__name__
 
     def test_single_row_batch(self, setup):
         dem, graph, sample = setup
         decoder = MwpmDecoder(graph)
         row = sample.detectors[:1]
-        assert decoder.decode_batch(row).tolist() == [decoder.decode(row[0])]
+        assert decoder.decode_packed_batch(pack_bool_rows(row)).tolist() == [
+            decoder.decode(row[0])
+        ]
 
 
 class TestSyndromeMemo:
     def test_memo_carries_across_batches(self, setup):
         dem, graph, sample = setup
         decoder = MwpmDecoder(graph)
-        first = decoder.decode_batch(sample.detectors[:1000])
+        words = pack_bool_rows(sample.detectors[:1000])
+        first = decoder.decode_packed_batch(words)
         memo = decoder.syndrome_memo()
         distinct = len(memo)
         assert distinct > 0 and memo.misses == distinct and memo.hits == 0
         # Second batch over the same shots: every syndrome is a hit.
-        second = decoder.decode_batch(sample.detectors[:1000])
+        second = decoder.decode_packed_batch(words)
         assert np.array_equal(first, second)
         assert len(memo) == distinct
         assert memo.hits == distinct
@@ -88,16 +107,22 @@ class TestSyndromeMemo:
 
         batch = sample.detectors[:1000]
         distinct = len(np.unique(np.packbits(batch, axis=1), axis=0))
+        decode_words = _scalar_decode_words(counting_decode, batch.shape[1])
+        words = pack_bool_rows(batch)
         memo = SyndromeMemo()
-        decode_batch_dedup(counting_decode, batch, memo=memo)
+        decode_packed_dedup(decode_words, words, memo=memo)
         assert calls == distinct
-        decode_batch_dedup(counting_decode, batch, memo=memo)
+        decode_packed_dedup(decode_words, words, memo=memo)
         assert calls == distinct  # all hits the second time
 
     def test_memo_limit_stops_insertion_not_decoding(self):
         memo = SyndromeMemo(limit=2)
         rows = np.eye(8, dtype=bool)
-        out = decode_batch_dedup(lambda row: int(row.argmax()), rows, memo=memo)
+        out = decode_packed_dedup(
+            _scalar_decode_words(lambda row: int(row.argmax()), 8),
+            pack_bool_rows(rows),
+            memo=memo,
+        )
         assert out.tolist() == list(range(8))
         assert len(memo) == 2
 
@@ -105,52 +130,53 @@ class TestSyndromeMemo:
         rows = np.array(
             [[1, 0], [0, 1], [1, 0], [0, 0], [0, 1]], dtype=bool
         )
-        out = decode_batch_dedup(lambda row: int(2 * row[0] + row[1]), rows)
+        out = decode_packed_dedup(
+            _scalar_decode_words(lambda row: int(2 * row[0] + row[1]), 2),
+            pack_bool_rows(rows),
+        )
         assert out.tolist() == [2, 1, 2, 0, 1]
 
 
 class TestPackedProtocol:
-    """The packed-native decoder protocol must agree with the boolean
-    boundary APIs on every decoder."""
+    """The packed-native decoder protocol must agree with the scalar
+    per-shot ``decode`` on every decoder."""
 
-    def test_decode_packed_batch_matches_boolean(self, setup):
+    def test_decode_packed_batch_matches_scalar(self, setup):
         dem, graph, sample = setup
         words = pack_bool_rows(sample.detectors)
         for decoder in _decoders(dem, graph):
             packed = decoder.decode_packed_batch(words)
-            ref = decoder.decode_batch(sample.detectors, dedupe=False)
+            ref = _scalar_reference(decoder, sample.detectors)
             assert np.array_equal(packed, ref), type(decoder).__name__
 
-    def test_logical_failures_packed_matches_boolean(self, setup):
+    def test_default_decode_unique_words_is_scalar_decode(self, setup):
+        # The mixin's default (what LookupDecoder inherits) maps the
+        # scalar decode over the given rows, in order, without dedupe.
         dem, graph, sample = setup
-        shard = PackedShard.from_bool(sample.detectors, sample.observables)
-        for decoder in _decoders(dem, graph):
-            packed = decoder.logical_failures_packed(
-                shard.det_words, shard.obs_words
-            )
-            ref = decoder.logical_failures(
-                sample.detectors, sample.observables, dedupe=False
-            )
-            assert np.array_equal(packed, ref), type(decoder).__name__
+        lookup = LookupDecoder(dem, max_weight=2)
+        assert "decode_unique_words" not in LookupDecoder.__dict__
+        rows = sample.detectors[:300]
+        got = lookup.decode_unique_words(pack_bool_rows(rows))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _scalar_reference(lookup, rows))
 
-    def test_packed_dedupe_off_reference_path(self, setup):
+    def test_packed_batch_matches_scalar_on_a_cold_decoder(self, setup):
         dem, graph, sample = setup
-        words = pack_bool_rows(sample.detectors[:200])
+        rows = sample.detectors[:200]
         decoder = MwpmDecoder(graph)
-        on = decoder.decode_packed_batch(words, dedupe=True)
-        off = decoder.decode_packed_batch(words, dedupe=False)
+        on = decoder.decode_packed_batch(pack_bool_rows(rows))
+        off = _scalar_reference(MwpmDecoder(graph), rows)
         assert np.array_equal(on, off)
 
-    def test_memo_shared_between_packed_and_boolean_entry(self, setup):
+    def test_memo_hits_on_a_repacked_batch(self, setup):
         dem, graph, sample = setup
         decoder = MwpmDecoder(graph)
-        words = pack_bool_rows(sample.detectors[:500])
-        decoder.decode_packed_batch(words)
+        decoder.decode_packed_batch(pack_bool_rows(sample.detectors[:500]))
         memo = decoder.syndrome_memo()
         distinct = len(memo)
         assert distinct > 0 and memo.misses == distinct
-        # The boolean entry packs to the same words: all hits.
-        decoder.decode_batch(sample.detectors[:500])
+        # A fresh packing of the same rows is the same words: all hits.
+        decoder.decode_packed_batch(pack_bool_rows(sample.detectors[:500].copy()))
         assert memo.misses == distinct and memo.hits == distinct
 
     def test_decode_unique_words_sees_only_distinct_misses(self, setup):
@@ -183,8 +209,11 @@ class TestPackedProtocol:
     def test_memo_snapshot_and_stats(self):
         memo = SyndromeMemo(limit=8)
         assert memo.snapshot() == (0, 0, 0)
-        rows = np.eye(3, dtype=bool)
-        decode_batch_dedup(lambda row: int(row.argmax()), rows, memo=memo)
+        decode_packed_dedup(
+            _scalar_decode_words(lambda row: int(row.argmax()), 3),
+            pack_bool_rows(np.eye(3, dtype=bool)),
+            memo=memo,
+        )
         assert memo.snapshot() == (0, 3, 3)
         assert memo.stats() == {
             "hits": 0, "misses": 3, "entries": 3, "limit": 8,
@@ -194,17 +223,20 @@ class TestPackedProtocol:
 class TestMixinSharing:
     def test_single_logical_failures_implementation(self):
         # The reduction must live on the mixin, not be re-copied per
-        # decoder class.
+        # decoder class, and the boolean-boundary entry points are gone.
         for cls in (MwpmDecoder, UnionFindDecoder, LookupDecoder):
             assert issubclass(cls, BatchDecoderMixin)
-            assert "logical_failures" not in cls.__dict__
-            assert "decode_batch" not in cls.__dict__
-        assert "logical_failures" in BatchDecoderMixin.__dict__
+            assert "logical_failures_packed" not in cls.__dict__
+            assert "decode_packed_batch" not in cls.__dict__
+            assert not hasattr(cls, "logical_failures")
+            assert not hasattr(cls, "decode_batch")
+        assert "logical_failures_packed" in BatchDecoderMixin.__dict__
 
     def test_lookup_decoder_gained_logical_failures(self, setup):
         dem, graph, sample = setup
         lookup = LookupDecoder(dem, max_weight=2)
-        fails = lookup.logical_failures(
-            sample.detectors[:200], sample.observables[:200]
+        fails = lookup.logical_failures_packed(
+            pack_bool_rows(sample.detectors[:200]),
+            pack_bool_rows(sample.observables[:200]),
         )
         assert fails.dtype == bool and fails.shape == (200,)

@@ -16,7 +16,20 @@ from repro.decoders import (
     UnionFindDecoder,
     llr_weight,
 )
-from repro.sim import DemError, DetectorErrorModel, FrameSimulator, circuit_to_dem
+from repro.sim import (
+    DemError,
+    DetectorErrorModel,
+    FrameSimulator,
+    circuit_to_dem,
+    pack_bool_rows,
+)
+
+
+def _failures(decoder, sample):
+    """Per-shot logical failures of ``decoder`` on a boolean sample."""
+    return decoder.logical_failures_packed(
+        pack_bool_rows(sample.detectors), pack_bool_rows(sample.observables)
+    )
 
 
 def _line_graph(n=4, p=0.05):
@@ -111,7 +124,7 @@ class TestDecoderAccuracy:
     def test_mwpm_suppresses_repetition_errors(self, repetition_setup):
         _, graph, sample = repetition_setup
         dec = MwpmDecoder(graph)
-        fails = dec.logical_failures(sample.detectors, sample.observables)
+        fails = _failures(dec, sample)
         # Raw (undecoded) failure rate for comparison.
         raw = sample.observables[:, 0].mean()
         assert fails.mean() < raw
@@ -119,12 +132,8 @@ class TestDecoderAccuracy:
 
     def test_union_find_close_to_mwpm(self, repetition_setup):
         _, graph, sample = repetition_setup
-        mwpm = MwpmDecoder(graph).logical_failures(
-            sample.detectors, sample.observables
-        )
-        uf = UnionFindDecoder(graph).logical_failures(
-            sample.detectors, sample.observables
-        )
+        mwpm = _failures(MwpmDecoder(graph), sample)
+        uf = _failures(UnionFindDecoder(graph), sample)
         # Union-find trades accuracy for speed; it must still decode far
         # better than chance and within an order of magnitude of MWPM.
         assert uf.mean() <= max(10 * mwpm.mean(), 0.04)
@@ -137,8 +146,9 @@ class TestDecoderAccuracy:
         light = sample.detectors.sum(axis=1) <= 2
         dets = sample.detectors[light][:200]
         obs = sample.observables[light][:200]
-        lk = (lookup.decode_batch(dets) & 1) != obs[:, 0]
-        mw = (mwpm.decode_batch(dets) & 1) != obs[:, 0]
+        words = pack_bool_rows(dets)
+        lk = (lookup.decode_packed_batch(words) & 1) != obs[:, 0]
+        mw = (mwpm.decode_packed_batch(words) & 1) != obs[:, 0]
         assert lk.mean() <= mw.mean() + 0.05
 
     def test_surface_code_distance_suppression(self):
@@ -149,9 +159,7 @@ class TestDecoderAccuracy:
             circ = ideal_memory_circuit(code, rounds=d, noise=UniformNoise(0.003))
             graph = DetectorGraph.from_dem(circuit_to_dem(circ))
             sample = FrameSimulator(circ, seed=7).sample(2500)
-            fails = MwpmDecoder(graph).logical_failures(
-                sample.detectors, sample.observables
-            )
+            fails = _failures(MwpmDecoder(graph), sample)
             rates.append((fails.sum() + 0.5) / (len(fails) + 1))
         assert rates[1] < rates[0]
 

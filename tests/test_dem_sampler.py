@@ -46,11 +46,17 @@ class TestBitPacking:
 
 
 class TestPackedShard:
-    def test_from_bool_round_trips(self):
+    @staticmethod
+    def _shard(det, obs):
+        return PackedShard(
+            pack_bool_rows(det), pack_bool_rows(obs), det.shape[1], obs.shape[1]
+        )
+
+    def test_boolean_views_round_trip(self):
         rng = np.random.default_rng(3)
         det = rng.random((9, 70)) < 0.3
         obs = rng.random((9, 2)) < 0.5
-        shard = PackedShard.from_bool(det, obs)
+        shard = self._shard(det, obs)
         assert shard.shots == 9
         assert shard.num_detectors == 70 and shard.num_observables == 2
         assert shard.det_words.dtype == np.uint64
@@ -60,17 +66,18 @@ class TestPackedShard:
     def test_observable_bits_reads_packed_words(self):
         rng = np.random.default_rng(4)
         obs = rng.random((50, 3)) < 0.5
-        shard = PackedShard.from_bool(np.zeros((50, 5), dtype=bool), obs)
+        shard = self._shard(np.zeros((50, 5), dtype=bool), obs)
         for index in range(3):
             assert np.array_equal(shard.observable_bits(index), obs[:, index])
         with pytest.raises(ValueError):
             shard.observable_bits(3)
 
-    def test_from_bool_rejects_shot_mismatch(self):
-        with pytest.raises(ValueError):
-            PackedShard.from_bool(
-                np.zeros((3, 2), dtype=bool), np.zeros((2, 1), dtype=bool)
-            )
+    def test_views_ignore_padding_bits(self):
+        # num_detectors, not the word width, bounds the boolean view.
+        words = np.full((2, 1), np.uint64(0xFFFF_FFFF_FFFF_FFFF))
+        shard = PackedShard(words, np.zeros((2, 0), dtype=np.uint64), 5, 0)
+        assert shard.detectors.shape == (2, 5) and shard.detectors.all()
+        assert shard.observables.shape == (2, 0)
 
     def test_sample_packed_matches_boolean_sample(self):
         dem = DetectorErrorModel(3, 1)
@@ -229,11 +236,13 @@ class TestStatisticalEquivalence:
         exact, graphlike = circuit_to_dems(circ)
         decoder = MwpmDecoder(DetectorGraph.from_dem(graphlike))
         frame = FrameSimulator(circ, seed=5).sample(self.SHOTS)
-        fast = DemSampler(exact).sample(self.SHOTS, seed=6)
-        p_frame = decoder.logical_failures(
-            frame.detectors, frame.observables
+        fast = DemSampler(exact).sample_packed(self.SHOTS, seed=6)
+        p_frame = decoder.logical_failures_packed(
+            pack_bool_rows(frame.detectors), pack_bool_rows(frame.observables)
         ).mean()
-        p_fast = decoder.logical_failures(fast.detectors, fast.observables).mean()
+        p_fast = decoder.logical_failures_packed(
+            fast.det_words, fast.obs_words
+        ).mean()
         p = (p_frame + p_fast) / 2.0
         stderr = np.sqrt(max(p * (1 - p), 1e-12) * 2.0 / self.SHOTS)
         assert abs(p_frame - p_fast) <= 5 * stderr + 5 * 0.004 ** 2

@@ -488,7 +488,7 @@ class TestPrecisionStopping:
         # min_failures=None must reach the scheduler as a pure
         # precision target (otherwise the default failure count fires
         # first and caps the achievable precision).
-        from repro.engine.runner import sample_adaptive
+        from repro.engine.runner import sample_circuit
         from repro.ler import estimate_until_failures
 
         circ = ideal_memory_circuit(
@@ -502,8 +502,8 @@ class TestPrecisionStopping:
         assert result.rel_stderr <= 0.3
         with pytest.raises(ValueError, match="min_failures and/or"):
             estimate_until_failures(circ, rounds=2, min_failures=None)
-        with pytest.raises(ValueError, match="target_failures and/or"):
-            sample_adaptive(circ, target_failures=None)
+        # Without any target the engine function runs a fixed plan.
+        assert sample_circuit(circ, 300, seed=3)[0] == 300
 
     def test_precision_convergence_latches(self):
         # rel_stderr *rises* with shots at fixed failures, so a

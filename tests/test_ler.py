@@ -5,12 +5,15 @@ import math
 import pytest
 
 from repro.codes import RepetitionCode, RotatedSurfaceCode, UniformNoise, ideal_memory_circuit
+from repro.engine import MultiprocessBackend, SerialBackend, sample_circuit
 from repro.ler import (
     LerProjection,
     LerResult,
     estimate_logical_error_rate,
+    estimate_until_failures,
     fit_projection,
 )
+from repro.sim import DemSampler, FrameSimulator
 
 
 class TestLerResult:
@@ -76,6 +79,50 @@ class TestEstimator:
             result = estimate_logical_error_rate(circ, rounds=2, shots=3000, seed=3)
             rates.append(result.per_shot)
         assert rates[1] < rates[0]
+
+
+class TestEstimatorIsEnginePath:
+    """The estimators are thin wrappers over the engine's one sampling
+    path: same shard plan, same streams, same failure counts."""
+
+    def test_fixed_estimate_equals_engine_on_every_backend(self):
+        circ = ideal_memory_circuit(
+            RotatedSurfaceCode(3), rounds=2, noise=UniformNoise(0.01)
+        )
+        # 5000 shots span three DEFAULT_SHARD_SHOTS shards.
+        result = estimate_logical_error_rate(circ, rounds=2, shots=5000, seed=11)
+        serial = sample_circuit(circ, 5000, seed=11, backend=SerialBackend())
+        with MultiprocessBackend(2) as backend:
+            pooled = sample_circuit(circ, 5000, seed=11, backend=backend)
+        assert (result.shots, result.failures) == serial == pooled
+        assert result.failures > 0
+
+    @pytest.mark.parametrize("rounds", [0, -2])
+    def test_bad_rounds_rejected_before_any_sampling(self, monkeypatch, rounds):
+        drawn = []
+        sample_packed = DemSampler.sample_packed
+        frame_sample = FrameSimulator.sample
+
+        def counting_packed(self, shots, seed=None):
+            drawn.append(shots)
+            return sample_packed(self, shots, seed=seed)
+
+        def counting_frame(self, shots):
+            drawn.append(shots)
+            return frame_sample(self, shots)
+
+        monkeypatch.setattr(DemSampler, "sample_packed", counting_packed)
+        monkeypatch.setattr(FrameSimulator, "sample", counting_frame)
+        circ = ideal_memory_circuit(
+            RepetitionCode(3), rounds=2, noise=UniformNoise(0.01)
+        )
+        with pytest.raises(ValueError, match="rounds must be positive"):
+            estimate_logical_error_rate(circ, rounds=rounds, shots=3000, seed=1)
+        with pytest.raises(ValueError, match="rounds must be positive"):
+            estimate_until_failures(
+                circ, rounds=rounds, batch=500, max_shots=3000, seed=1
+            )
+        assert drawn == []  # not one shard was sampled
 
 
 class TestProjection:
