@@ -97,12 +97,16 @@ class DetectorSpec:
     """Detectors of a memory experiment in (qubit, round) terms.
 
     ``round`` is -1 for final data measurements.  ``groups`` lists, for
-    each detector, the measurements whose parity it checks; ``observable``
-    lists the final data measurements forming logical Z (or X).
+    each detector, the measurements whose parity it checks, and
+    ``bases`` the basis (``"X"`` or ``"Z"``) of the check behind it;
+    ``observable`` lists the final data measurements forming logical
+    ``basis`` (Z or X).
     """
 
     groups: list[list[tuple[int, int]]]
+    bases: list[str]
     observable: list[tuple[int, int]]
+    basis: str
 
 
 def memory_detector_spec(
@@ -114,21 +118,25 @@ def memory_detector_spec(
     if rounds < 1:
         raise ValueError("need at least one round")
     groups: list[list[tuple[int, int]]] = []
+    bases: list[str] = []
     # First round: checks of the memory basis are deterministic.
     for check in code.checks_of_basis(basis):
         groups.append([(check.ancilla, 0)])
+        bases.append(basis)
     # Bulk rounds: every ancilla compares with its previous outcome.
     for r in range(1, rounds):
         for check in code.checks:
             groups.append([(check.ancilla, r), (check.ancilla, r - 1)])
+            bases.append(check.basis)
     # Final data measurement reconstructs the basis checks.
     for check in code.checks_of_basis(basis):
         group = [(check.ancilla, rounds - 1)]
         group.extend((d, -1) for d in check.data)
         groups.append(group)
+        bases.append(basis)
     support = code.logical_z if basis == "Z" else code.logical_x
     observable = [(q, -1) for q in support]
-    return DetectorSpec(groups, observable)
+    return DetectorSpec(groups, bases, observable, basis)
 
 
 def attach_detectors(
@@ -139,14 +147,16 @@ def attach_detectors(
     """Append DETECTOR / OBSERVABLE_INCLUDE for an already-built body.
 
     ``meas_index`` maps (qubit, round) — round -1 for final data
-    measurements — to the absolute measurement-record position.
+    measurements — to the absolute measurement-record position.  Each
+    annotation is tagged with its basis (``DETECTOR[X] rec[-1]``), which
+    DEM extraction reads to decode only the observable's basis.
     """
     total = circuit.num_measurements
-    for group in spec.groups:
+    for group, basis in zip(spec.groups, spec.bases):
         offsets = [meas_index[key] - total for key in group]
-        circuit.append("DETECTOR", offsets)
+        circuit.append("DETECTOR", offsets, tag=basis)
     offsets = [meas_index[key] - total for key in spec.observable]
-    circuit.append("OBSERVABLE_INCLUDE", offsets, (0,))
+    circuit.append("OBSERVABLE_INCLUDE", offsets, (0,), tag=spec.basis)
 
 
 # ----------------------------------------------------------------------

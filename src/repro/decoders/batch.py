@@ -170,11 +170,15 @@ class BatchDecoderMixin:
     Subclasses provide scalar ``decode(detector_sample) -> int`` and a
     ``num_detectors`` attribute (set in ``__init__``); a decoder with a
     vectorised batch kernel additionally overrides
-    ``decode_unique_words``.
+    ``decode_unique_words``.  A graph decoder also sets
+    ``detector_mask`` to :meth:`DetectorGraph.detector_mask
+    <repro.decoders.graph.DetectorGraph.detector_mask>`: the detectors
+    it can match, the only bits that reach deduplication and the memo.
     """
 
     _memo: SyndromeMemo | None = None
     num_detectors: int
+    detector_mask: np.ndarray | None = None
 
     def syndrome_memo(self) -> SyndromeMemo:
         if self._memo is None:
@@ -198,7 +202,10 @@ class BatchDecoderMixin:
 
     def decode_packed_batch(self, det_words: np.ndarray) -> np.ndarray:
         """Observable bitmask per shot for packed ``(shots, words)``
-        syndromes — the pipeline's native decoder entry point."""
+        syndromes — the pipeline's native decoder entry point.  Bits
+        outside ``detector_mask`` are cleared first."""
+        if self.detector_mask is not None:
+            det_words = np.asarray(det_words, dtype=np.uint64) & self.detector_mask
         return decode_packed_dedup(
             self.decode_unique_words, det_words, memo=self.syndrome_memo()
         )

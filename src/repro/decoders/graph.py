@@ -17,6 +17,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from ..sim.dem import DetectorErrorModel
+from ..sim.dem_sampler import pack_bool_rows
 
 _MIN_P = 1e-14
 
@@ -45,13 +46,18 @@ class DetectorGraph:
     Node ids 0..num_detectors-1 are detectors; node ``boundary`` is the
     virtual boundary.  ``floor_errors`` holds mechanisms with no
     detector symptoms at all — undecodable logical noise that lower
-    bounds the achievable logical error rate.
+    bounds the achievable logical error rate.  ``conflicting_edges``
+    counts the detector pairs whose errors disagree on the observables
+    they flip: one edge per pair keeps the more probable error's mask,
+    so each such pair is a place where matching can pick the wrong
+    correction.
     """
 
     num_detectors: int
     num_observables: int
     edges: list[DetectorEdge] = field(default_factory=list)
     floor_errors: list[tuple[int, float]] = field(default_factory=list)
+    conflicting_edges: int = 0
 
     _dist: np.ndarray | None = None
     _pred: np.ndarray | None = None
@@ -71,6 +77,7 @@ class DetectorGraph:
     def from_dem(cls, dem: DetectorErrorModel) -> "DetectorGraph":
         graph = cls(dem.num_detectors, dem.num_observables)
         merged: dict[tuple[int, int], tuple[float, int]] = {}
+        conflicts: set[tuple[int, int]] = set()
         for err in dem.errors:
             obs_mask = 0
             for o in err.observables:
@@ -89,6 +96,8 @@ class DetectorGraph:
                 )
             if key in merged:
                 p_old, obs_old = merged[key]
+                if obs_old != obs_mask:
+                    conflicts.add(key)
                 # Keep the observable mask of the more probable branch and
                 # fold probabilities as independent sources.
                 p_new = p_old + err.probability - 2 * p_old * err.probability
@@ -98,7 +107,26 @@ class DetectorGraph:
                 merged[key] = (err.probability, obs_mask)
         for (u, v), (p, obs_mask) in sorted(merged.items()):
             graph.edges.append(DetectorEdge(u, v, llr_weight(p), p, obs_mask))
+        graph.conflicting_edges = len(conflicts)
         return graph
+
+    def detector_mask(self) -> np.ndarray:
+        """The detectors some edge touches, as one packed row of uint64
+        words (the :func:`~repro.sim.dem_sampler.pack_bool_rows` layout).
+
+        A defect on any other detector has nothing to match to, so the
+        decoders abstain on it; masking syndromes with this row before
+        deduplication drops it earlier, and the syndrome memo never
+        tells apart syndromes that differ only there.  For a
+        memory-experiment model these are the detectors of the
+        observable's basis.
+        """
+        touched = np.zeros((1, self.num_detectors), dtype=bool)
+        for edge in self.edges:
+            touched[0, edge.u] = True
+            if edge.v != self.boundary:
+                touched[0, edge.v] = True
+        return pack_bool_rows(touched)[0]
 
     # ------------------------------------------------------------------
     def edge_between(self, u: int, v: int) -> DetectorEdge | None:

@@ -65,6 +65,7 @@ class MwpmDecoder(BatchDecoderMixin):
     def __init__(self, graph: DetectorGraph):
         self.graph = graph
         self.num_detectors = graph.num_detectors
+        self.detector_mask = graph.detector_mask()
         self._dist, _ = graph.shortest_paths()
         # cluster node tuple -> correction mask of its optimal matching
         self._cluster_masks: dict[tuple[int, ...], int] = {}

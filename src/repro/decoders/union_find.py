@@ -96,6 +96,7 @@ class UnionFindDecoder(BatchDecoderMixin):
     def __init__(self, graph: DetectorGraph):
         self.graph = graph
         self.num_detectors = graph.num_detectors
+        self.detector_mask = graph.detector_mask()
         # Precomputed edge arrays: the batched kernel's CSR-style view
         # of the graph (endpoints, weights, observable masks), shared
         # with the peeling pass.

@@ -92,10 +92,15 @@ def dem_from_jsonable(data: dict) -> DetectorErrorModel:
 class CompiledCircuit:
     """One circuit's cached compilation artefacts.
 
-    ``dem`` is the graphlike (decomposed) model the decoders consume;
-    ``sampling_dem`` is the exact (undecomposed) model the DEM-direct
-    sampler draws from — splitting hyperedges before sampling would
-    decorrelate detector flips that co-occur physically.
+    ``dem`` is the graphlike model the decoders consume: every exact
+    symptom projected onto the detectors of the observable's basis,
+    which the circuit text names in its ``DETECTOR[X]`` /
+    ``DETECTOR[Z]`` tags (see :func:`~repro.sim.dem.circuit_to_dems`).
+    ``sampling_dem`` is the exact model the DEM-direct sampler draws
+    from — splitting or projecting hyperedges before sampling would
+    decorrelate detector flips that co-occur physically.  Both are
+    keyed on the circuit text, tags included, so a model extracted
+    under other tags is never served for this circuit.
     """
 
     key: str

@@ -615,6 +615,9 @@ class Runner:
             "misses": state.memo_misses,
             "entries": state.memo_size,
         }
+        # Detector pairs whose errors disagree on the observable: each
+        # is a place where the decoder's graph cannot be right both ways.
+        extras["conflicting_edges"] = state.compiled.graph.conflicting_edges
         if state.phase_s:
             # Per-phase seconds summed over the job's shards, so stored
             # results record *where* this point's sampling time went.

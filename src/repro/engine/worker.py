@@ -37,8 +37,9 @@ from .cache import dem_from_jsonable
 # (prime, dmat, config, shard, stop) and reads its fixed-shape
 # replies.  Driver and worker ship in one package, so there is exactly
 # one message format: a driver refuses a worker whose hello names any
-# other version (bump the number whenever a message shape changes).
-PROTOCOL_VERSION = 7
+# other version (bump the number whenever a message shape, or what a
+# worker builds from a payload, changes).
+PROTOCOL_VERSION = 8
 _HEADER = struct.Struct(">I")
 # A frame is bounded by the largest prime payload (two DEM JSONs plus
 # the all-pairs distance matrices) — far below this, but cap it so a

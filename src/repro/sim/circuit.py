@@ -8,6 +8,12 @@ execution, and ``OBSERVABLE_INCLUDE`` accumulating record bits into a
 logical observable.  Record targets are negative offsets relative to the
 end of the record at the point the annotation appears (``rec[-1]`` is
 the most recent measurement), exactly as in Stim.
+
+Any instruction may carry a Stim-style *tag*, printed in brackets after
+its name (``DETECTOR[Z] rec[-1]``).  Tags leave simulation alone; the
+memory-experiment builders use them to name the basis of each detector
+and of the observable, which DEM extraction reads to build the
+decoder-side model (see :mod:`repro.sim.dem`).
 """
 
 from __future__ import annotations
@@ -34,15 +40,20 @@ class Instruction:
     ``targets`` holds qubit indices for gates/noise, or record offsets
     (negative ints) for DETECTOR / OBSERVABLE_INCLUDE.  ``args`` holds
     noise probabilities (one for simple channels, three for
-    PAULI_CHANNEL_1 as (px, py, pz)) or the observable index.
+    PAULI_CHANNEL_1 as (px, py, pz)) or the observable index.  ``tag``
+    is free text printed as ``NAME[tag]``; it never changes what the
+    instruction does.
     """
 
     name: str
     targets: tuple[int, ...] = ()
     args: tuple[float, ...] = ()
+    tag: str = ""
 
     def __str__(self) -> str:
         parts = [self.name]
+        if self.tag:
+            parts.append(f"[{self.tag}]")
         if self.args:
             parts.append("(" + ", ".join(f"{a:g}" for a in self.args) + ")")
         if self.targets:
@@ -99,10 +110,12 @@ class StabilizerCircuit:
     # ------------------------------------------------------------------
     # Builders
     # ------------------------------------------------------------------
-    def append(self, name: str, targets=(), args=()) -> None:
+    def append(self, name: str, targets=(), args=(), tag: str = "") -> None:
         """Append an instruction, validating its shape."""
         if name not in ALL_NAMES:
             raise ValueError(f"unknown instruction {name!r}")
+        if any(c in tag for c in "[]#\r\n"):
+            raise ValueError(f"tag {tag!r} may not contain brackets, '#' or line breaks")
         targets = tuple(int(t) for t in targets)
         args = tuple(float(a) for a in args)
         if name in CLIFFORD_2Q or name in NOISE_2Q:
@@ -132,7 +145,7 @@ class StabilizerCircuit:
             self._max_qubit = max(self._max_qubit, max(targets))
         if name in MEASUREMENTS:
             self._num_measurements += len(targets)
-        self.instructions.append(Instruction(name, targets, args))
+        self.instructions.append(Instruction(name, targets, args, tag))
 
     def _validate_record_targets(self, targets: tuple[int, ...]) -> None:
         for t in targets:
@@ -145,7 +158,7 @@ class StabilizerCircuit:
 
     def extend(self, other: "StabilizerCircuit") -> None:
         for inst in other.instructions:
-            self.append(inst.name, inst.targets, inst.args)
+            self.append(inst.name, inst.targets, inst.args, inst.tag)
 
     def copy(self) -> "StabilizerCircuit":
         dup = StabilizerCircuit()
@@ -161,7 +174,7 @@ class StabilizerCircuit:
         for inst in self.instructions:
             if inst.name in NOISE_1Q or inst.name in NOISE_2Q:
                 continue
-            clean.append(inst.name, inst.targets, inst.args)
+            clean.append(inst.name, inst.targets, inst.args, inst.tag)
         return clean
 
     def detector_records(self) -> list[list[int]]:

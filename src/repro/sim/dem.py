@@ -28,10 +28,18 @@ Extraction runs in three vectorised steps:
    rather than once per mechanism.  Probabilities then fold per
    symptom in mechanism order.
 
-Mechanisms that flip more than two detectors (hyperedges) are
-decomposed into their X-part and Z-part, which for CSS codes such as
-the surface code are individually graphlike; the parts go through the
-same packed propagation.
+That is the *exact* model, the one to sample from.  The *graphlike*
+model the matching decoders read is derived from it, not re-propagated:
+every exact symptom is projected onto the detectors of the observable's
+basis, keeping its observables.  A memory experiment tags each detector
+and its observable with their basis (``DETECTOR[Z] rec[-1]``, see
+:func:`repro.codes.circuits.attach_detectors`); a circuit without
+such tags keeps every detector.  In a CSS memory experiment a Y error
+flips X-type and Z-type detectors at once, and only the observable's
+basis can tell the decoder anything about the observable, so the
+projection turns such hyperedges into single graph edges.  What still
+flips more than two detectors after projection is chain-paired in
+detector order (see :func:`_graphlike_pieces`).
 """
 
 from __future__ import annotations
@@ -128,20 +136,6 @@ class _Mechanisms:
 
     def __len__(self) -> int:
         return len(self.probability)
-
-    def select(self, rows: np.ndarray) -> "_Mechanisms":
-        return _Mechanisms(self.instruction[rows], self.qubits[rows],
-                           self.paulis[rows], self.probability[rows])
-
-    def split_xz(self) -> "_Mechanisms":
-        """Each mechanism's X-part then Z-part, dropping empty parts."""
-        parts = _Mechanisms(
-            np.repeat(self.instruction, 2),
-            np.repeat(self.qubits, 2, axis=0),
-            np.stack([self.paulis & _X, self.paulis & _Z], axis=1).reshape(-1, 2),
-            np.repeat(self.probability, 2),
-        )
-        return parts.select(np.flatnonzero(parts.paulis.any(axis=1)))
 
 
 def _enumerate_mechanisms(circuit: StabilizerCircuit) -> _Mechanisms:
@@ -340,14 +334,40 @@ def _distinct_symptoms(
     return list(zip(dets, obs)), inverse.reshape(-1)
 
 
+def _decoded_detectors(circuit: StabilizerCircuit) -> list[bool] | None:
+    """Per detector, whether the graphlike model keeps it: those whose
+    tag names the observables' basis.  ``None`` (keep every detector)
+    when the observables share no tag or no detector carries it."""
+    observable_tags = {inst.tag for inst in circuit.instructions
+                       if inst.name == "OBSERVABLE_INCLUDE"}
+    if len(observable_tags) != 1:
+        return None
+    (basis,) = observable_tags
+    keep = [inst.tag == basis for inst in circuit.instructions if inst.name == "DETECTOR"]
+    return keep if basis and any(keep) else None
+
+
 def _graphlike_pieces(symptom: Symptom) -> list[Symptom]:
-    """A hyperedge part's graphlike stand-ins: the part itself when it
-    flips at most two detectors, else chain-pairs of its detectors in
-    index order (the observables ride on the first pair)."""
+    """A projected symptom's graphlike stand-ins: the symptom itself
+    when it flips at most two detectors, else chain-pairs of its
+    detectors in index order (the observables ride on the first pair)."""
     dets, obs = symptom
     if len(dets) <= 2:
         return [symptom] if dets or obs else []
     return [(dets[i:i + 2], obs if i == 0 else ()) for i in range(0, len(dets), 2)]
+
+
+def _graphlike(errors: list[DemError], keep: list[bool] | None) -> list[DemError]:
+    """The graphlike model of exact ``errors``: each symptom projected
+    onto the ``keep`` detectors, split into graphlike pieces, and the
+    pieces folded in symptom order."""
+    keys, weights = [], []
+    for err in errors:
+        dets = err.detectors if keep is None else tuple(d for d in err.detectors if keep[d])
+        for piece in _graphlike_pieces((dets, err.observables)):
+            keys.append(piece)
+            weights.append(err.probability)
+    return _errors(_fold(keys, weights))
 
 
 def circuit_to_dems(
@@ -361,15 +381,16 @@ def circuit_to_dems(
       included — the model to *sample* from (``DemSampler``), since
       splitting a mechanism would decorrelate detector flips that fire
       together physically;
-    - ``graphlike`` splits mechanisms flipping more than two detectors
-      into their X-part and Z-part (each graphlike for CSS circuits);
-      parts keep the full mechanism probability, the standard
-      independence approximation made by *matching decoders*.
+    - ``graphlike`` is the model *matching decoders* read: every exact
+      symptom projected onto the detectors of the observable's basis
+      (every detector when the circuit carries no basis tags), with
+      its observables kept.  A projection that still flips more than
+      two detectors is chain-paired; pieces keep the full symptom
+      probability, the standard independence approximation.  Symptoms
+      that project to nothing are dropped.
 
-    The propagation of all mechanisms is shared; only the hyperedge
-    parts are re-propagated for the graphlike model.  Probabilities
-    fold per symptom in mechanism order — for ``graphlike``, the
-    graphlike mechanisms first, then the hyperedge parts.
+    Probabilities fold per symptom in mechanism order for ``exact``,
+    then per graphlike piece in exact-symptom order.
     """
     exact = DetectorErrorModel(circuit.num_detectors, circuit.num_observables)
     graphlike = DetectorErrorModel(circuit.num_detectors, circuit.num_observables)
@@ -377,46 +398,24 @@ def circuit_to_dems(
     if not len(mechs) or not circuit.num_detectors + circuit.num_observables:
         return exact, graphlike
 
-    plan = _frame_plan(circuit)
-    symptoms, inverse = _distinct_symptoms(circuit, plan, mechs)
+    symptoms, inverse = _distinct_symptoms(circuit, _frame_plan(circuit), mechs)
     nonempty = np.array([bool(d or o) for d, o in symptoms])[inverse]
-    hyper = np.array([len(d) > 2 for d, _ in symptoms])[inverse]
-
-    # Fold on symptom ids; the graphlike model gives the hyperedge-part
-    # pieces not already among the symptoms fresh ids.
     exact.errors = _errors({
         symptoms[j]: p for j, p in _fold(inverse[nonempty].tolist(),
                                          mechs.probability[nonempty].tolist()).items()
     })
-
-    graph = nonempty & ~hyper
-    keys = inverse[graph].tolist()
-    weights = mechs.probability[graph].tolist()
-    if hyper.any():
-        parts = mechs.select(np.flatnonzero(hyper)).split_xz()
-        part_symptoms, part_inverse = _distinct_symptoms(circuit, plan, parts)
-        ids = {s: j for j, s in enumerate(symptoms)}
-        pieces = [[ids.setdefault(piece, len(ids)) for piece in _graphlike_pieces(s)]
-                  for s in part_symptoms]
-        for j, p in zip(part_inverse.tolist(), parts.probability.tolist()):
-            keys.extend(pieces[j])
-            weights.extend([p] * len(pieces[j]))
-        symptoms = list(ids)
-    graphlike.errors = _errors({
-        symptoms[j]: p for j, p in _fold(keys, weights).items()
-    })
+    graphlike.errors = _graphlike(exact.errors, _decoded_detectors(circuit))
     return exact, graphlike
 
 
 def circuit_to_dem(circuit: StabilizerCircuit, *, decompose: bool = True) -> DetectorErrorModel:
     """Extract the detector error model of a noisy circuit.
 
-    With ``decompose=True``, mechanisms flipping more than two detectors
-    are split into their X-part and Z-part (each graphlike for CSS
-    circuits); parts keep the full mechanism probability, the standard
-    independence approximation made by matching decoders.  See
-    :func:`circuit_to_dems` to obtain both flavours from one
-    propagation pass.
+    With ``decompose=True``, the graphlike model matching decoders read:
+    symptoms projected onto the detectors of the observable's basis,
+    and what still flips more than two detectors chain-paired.  With
+    ``decompose=False``, the exact model.  See :func:`circuit_to_dems`
+    to obtain both flavours from one propagation pass.
     """
     exact, graphlike = circuit_to_dems(circuit)
     return graphlike if decompose else exact

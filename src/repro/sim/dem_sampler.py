@@ -43,11 +43,12 @@ Fidelity
 --------
 Sample from the **exact (undecomposed) DEM**: a hyperedge mechanism
 must flip all of its detectors *together*, so splitting it into
-decoder-style X/Z halves before sampling would decorrelate flips that
+decoder-style pieces before sampling would decorrelate flips that
 co-occur physically — measured on the d=5 design point, that
 decorrelation inflates the logical failure rate several-fold.  (The
-graphlike decomposition is strictly a *decoder-side* approximation;
-the engine keeps both models and hands each consumer the right one.)
+graphlike model, projected onto the observable's basis, is strictly a
+*decoder-side* approximation; the engine keeps both models and hands
+each consumer the right one.)
 
 The one approximation that remains is sampling mechanisms as
 *independent* Bernoulli sources — the standard DEM semantics (shared

@@ -7,14 +7,16 @@ Circuits round-trip through the same plain-text syntax Stim uses::
     CX 0 1
     DEPOLARIZE2(0.001) 0 1
     M 0 1
-    DETECTOR rec[-1] rec[-2]
-    OBSERVABLE_INCLUDE(0) rec[-1]
+    DETECTOR[Z] rec[-1] rec[-2]
+    OBSERVABLE_INCLUDE[Z](0) rec[-1]
 
 Only the instruction set of :mod:`repro.sim.circuit` is supported; the
 point is interoperability — a compiled QCCD schedule exported with
 :func:`repro.core.program_to_circuit` can be written out and loaded
 into real Stim unchanged (modulo the XX gate, which Stim spells
-``SQRT_XX``).
+``SQRT_XX``).  Instruction tags (``DETECTOR[Z]``, the basis labels of
+a memory experiment) use Stim's tag syntax, which Stim reads from
+version 1.15 on.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ import re
 from .circuit import StabilizerCircuit
 
 _REC_PATTERN = re.compile(r"rec\[(-\d+)\]")
-_NAME_ARGS_PATTERN = re.compile(r"^([A-Z_0-9]+)(?:\(([^)]*)\))?\s*(.*)$")
+_NAME_ARGS_PATTERN = re.compile(
+    r"^([A-Z_0-9]+)(?:\[([^\]]*)\])?(?:\(([^)]*)\))?\s*(.*)$"
+)
 
 
 def circuit_to_text(circuit: StabilizerCircuit) -> str:
@@ -45,7 +49,7 @@ def circuit_from_text(text: str) -> StabilizerCircuit:
         match = _NAME_ARGS_PATTERN.match(line)
         if not match:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}")
-        name, args_text, targets_text = match.groups()
+        name, tag, args_text, targets_text = match.groups()
         args: tuple[float, ...] = ()
         if args_text:
             args = tuple(float(a) for a in args_text.split(","))
@@ -68,7 +72,7 @@ def circuit_from_text(text: str) -> StabilizerCircuit:
                     f"line {lineno}: bad qubit targets in {raw!r}"
                 ) from None
         try:
-            circuit.append(name, targets, args)
+            circuit.append(name, targets, args, tag or "")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     return circuit

@@ -29,6 +29,9 @@ def _cell(value) -> str:
             return "0"
         if abs(value) >= 1e5 or abs(value) < 1e-3:
             return f"{value:.2e}"
+        if abs(value) < 1:
+            # Significant digits: an LER of 0.00426 must not print as 0.0.
+            return f"{value:.3g}"
         return f"{value:,.1f}"
     return str(value)
 

@@ -72,6 +72,17 @@ class TestCommands:
         assert "round_us" in out
         assert "rotated_surface" in out
 
+    def test_evaluate_table_shows_the_ler(self, tmp_path, capsys):
+        path = tmp_path / "evaluate.csv"
+        code = main(["evaluate", "--distance", "3", "--rounds", "2",
+                     "--shots", "3000", "--csv", str(path)])
+        assert code == 0
+        header, row = list(csv.reader(path.open()))
+        ler = float(row[header.index("ler_round")])
+        assert 1e-3 <= ler < 0.05
+        table_row = capsys.readouterr().out.splitlines()[2]
+        assert table_row.split()[-1] == f"{ler:.3g}"
+
     def test_sweep_writes_csv(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
         code = main([

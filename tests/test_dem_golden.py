@@ -38,8 +38,9 @@ def every_instruction_circuit() -> StabilizerCircuit:
     """Two rounds over ten qubits exercising every instruction kind.
 
     Qubits 6..9 form a fan-out whose X errors flip four detectors at
-    once: the X-part of such a mechanism is itself a hyperedge, which
-    drives the graphlike model's chain-pair fallback.
+    once.  The circuit carries no basis tags, so the graphlike model
+    keeps every detector and such a hyperedge drives its chain-pair
+    fallback.
     """
     c = StabilizerCircuit()
     c.append("RX", (0, 2))

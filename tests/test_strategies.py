@@ -56,12 +56,12 @@ from test_route import _replay_occupancy
 GOLDEN_COMPILER = {
     # (topology, distance): (makespan_us, num_ops, movement_ops,
     #                        ops_sha, stim_sha)
-    ("grid", 2): (6815.0, 208, 168, "c27bca57f7b412c6", "3c7a339db5b2ba3d"),
-    ("grid", 3): (10845.0, 686, 572, "e843a855b7d448a3", "10091118d35b9b9e"),
-    ("linear", 2): (9665.0, 208, 168, "03f74cd82e199c22", "75435137694d66fd"),
-    ("linear", 3): (38690.0, 1147, 1033, "679a47a8ae22b608", "42c34a90c727f1e5"),
-    ("switch", 2): (6270.0, 190, 150, "a2c51671c11ae9ac", "83e603d7cd4360a0"),
-    ("switch", 3): (7425.0, 594, 480, "1013cb42ab567e6e", "dc6987f61177b1da"),
+    ("grid", 2): (6815.0, 208, 168, "c27bca57f7b412c6", "e77e4e4ff046b35c"),
+    ("grid", 3): (10845.0, 686, 572, "e843a855b7d448a3", "e3fdcf845149767d"),
+    ("linear", 2): (9665.0, 208, 168, "03f74cd82e199c22", "aaf25b5c16e678a3"),
+    ("linear", 3): (38690.0, 1147, 1033, "679a47a8ae22b608", "8e1980ac45796d82"),
+    ("switch", 2): (6270.0, 190, 150, "a2c51671c11ae9ac", "af253804fcf4c17a"),
+    ("switch", 3): (7425.0, 594, 480, "1013cb42ab567e6e", "a26c76d4028749c9"),
 }
 
 GOLDEN_KEYS = [

@@ -36,6 +36,25 @@ class TestRoundTrip:
         assert parsed.num_detectors == circ.num_detectors
         assert parsed.num_measurements == circ.num_measurements
 
+    def test_tags_roundtrip(self):
+        text = "R 0\nX_ERROR[idle](0.01) 0\nM 0\nDETECTOR[Z] rec[-1]\nOBSERVABLE_INCLUDE[Z](0) rec[-1]"
+        circ = circuit_from_text(text)
+        assert [inst.tag for inst in circ] == ["", "idle", "", "Z", "Z"]
+        assert circuit_to_text(circ) == text
+        assert circ.copy() == circ and circ.without_noise().instructions[-1].tag == "Z"
+
+    def test_memory_experiment_tags_each_detector_with_its_basis(self):
+        circ = ideal_memory_circuit(RotatedSurfaceCode(3), rounds=2, basis="X")
+        tags = [inst.tag for inst in circ if inst.name in ("DETECTOR", "OBSERVABLE_INCLUDE")]
+        # Round 0: the 4 X checks; round 1: all 8 checks; final: X checks.
+        assert tags.count("X") == 4 + 4 + 4 + 1 and tags.count("Z") == 4
+        assert tags[-1] == "X"
+
+    @pytest.mark.parametrize("tag", ["a]b", "a[b", "x#y", "two\nlines"])
+    def test_tags_that_cannot_roundtrip_are_rejected(self, tag):
+        with pytest.raises(ValueError):
+            StabilizerCircuit().append("TICK", (), (), tag)
+
     def test_file_roundtrip(self, tmp_path):
         circ = ideal_memory_circuit(RepetitionCode(3), rounds=2)
         path = tmp_path / "circuit.stim"

@@ -101,6 +101,10 @@ class TestReport:
         assert "e+" in text.lower() or "e1" in text
         assert "e-09" in text
 
+    def test_small_floats_keep_significant_digits(self):
+        text = format_table(["v"], [[0.00426], [0.0499], [0.5]])
+        assert text.splitlines()[2:] == ["0.00426", " 0.0499", "    0.5"]
+
     def test_ratio(self):
         assert ratio(6, 3) == 2
         assert ratio(1, 0) == float("inf")
