@@ -16,7 +16,7 @@ import pytest
 from repro.arch import DEFAULT_TIMES
 from repro.baselines.qccdsim_like import _sequentialise
 from repro.codes import RotatedSurfaceCode
-from repro.core import Router, build_gate_dag, compute_stats, place, schedule_asap
+from repro.core import GreedyRouter, build_gate_dag, compute_stats, place, schedule_asap
 from repro.core.schedule import makespan
 from repro.toolflow import format_table
 
@@ -25,7 +25,7 @@ from _common import publish
 ROUNDS = 3
 
 
-class _NoPrefetchRouter(Router):
+class _NoPrefetchRouter(GreedyRouter):
     def _restoration_path(self, ion, alloc):
         src = self.location[ion]
         return self._find_path_to_any(
@@ -35,7 +35,7 @@ class _NoPrefetchRouter(Router):
         )
 
 
-class _NoWaitRouter(Router):
+class _NoWaitRouter(GreedyRouter):
     DETOUR_TOLERANCE = float("inf")
 
 
@@ -54,8 +54,8 @@ def _run(router_cls, sequential=False):
 @pytest.fixture(scope="module")
 def ablation_rows():
     variants = [
-        ("full compiler", Router, False),
-        ("no commutation DAG", Router, True),
+        ("full compiler", GreedyRouter, False),
+        ("no commutation DAG", GreedyRouter, True),
         ("no prefetch restore", _NoPrefetchRouter, False),
         ("no wait-vs-detour", _NoWaitRouter, False),
     ]
@@ -96,4 +96,4 @@ def test_ablation_report(benchmark, ablation_rows):
 
 
 def test_bench_full_compiler(benchmark):
-    benchmark(_run, Router, False)
+    benchmark(_run, GreedyRouter, False)

@@ -26,9 +26,8 @@ def main() -> None:
                 wiring=wiring,
                 rounds=2,
             )
-            compiler = QccdCompiler(config)
-            program = compiler.compile()
-            resources = wiring.resources(compiler.placement().device)
+            program = QccdCompiler(config).compile()
+            resources = wiring.resources(program.device)
             rows.append([
                 d,
                 wiring.name,

@@ -88,5 +88,6 @@ def compile_muzzle_like(
         start=start,
         rounds=rounds,
         qubit_to_trap=dict(placement.qubit_to_trap),
+        device=placement.device,
         stats=stats,
     )

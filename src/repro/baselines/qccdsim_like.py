@@ -23,7 +23,7 @@ from ..codes.base import StabilizerCode
 from ..core.compiler import compute_stats
 from ..core.ir import CompiledProgram, LogicalGate
 from ..core.place import Placement
-from ..core.route import Router
+from ..core.route import GreedyRouter
 from ..core.schedule import schedule_asap
 from ..core.translate import build_gate_dag
 
@@ -39,8 +39,8 @@ def _sequentialise(gates: list[LogicalGate]) -> list[LogicalGate]:
     return gates
 
 
-class _GreedyRouter(Router):
-    """Router stripped of the paper compiler's optimisations."""
+class _GreedyRouter(GreedyRouter):
+    """The greedy router stripped of the paper compiler's optimisations."""
 
     DETOUR_TOLERANCE = float("inf")  # never waits; always takes a path
 
@@ -108,5 +108,6 @@ def compile_qccdsim_like(
         start=start,
         rounds=rounds,
         qubit_to_trap=dict(placement.qubit_to_trap),
+        device=placement.device,
         stats=stats,
     )

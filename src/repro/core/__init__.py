@@ -30,7 +30,7 @@ from .place import (
     placer_by_name,
     register_placer,
 )
-from .route import GreedyRouter, Router, RoutingError
+from .route import GreedyRouter, RoutingError
 from .route_layered import LayeredRouter
 from .route_parallel import ParallelRouter
 from .routing_base import (
@@ -84,7 +84,6 @@ __all__ = [
     "layout_positions",
     "partition_qubits",
     "place",
-    "Router",
     "GreedyRouter",
     "LayeredRouter",
     "ParallelRouter",

@@ -14,8 +14,7 @@ from .routing_base import router_by_name
 from .schedule import makespan, schedule
 from .translate import build_gate_dag
 
-# Importing the strategy modules registers them; ``route`` also carries
-# the back-compat ``Router`` name.
+# Importing the strategy modules registers them.
 from . import route as _route  # noqa: F401
 from . import route_layered as _route_layered  # noqa: F401
 from . import route_parallel as _route_parallel  # noqa: F401
@@ -101,6 +100,7 @@ class QccdCompiler:
             start=start,
             rounds=cfg.rounds,
             qubit_to_trap=dict(placement.qubit_to_trap),
+            device=placement.device,
             stats=stats,
             router=cfg.router,
             placer=cfg.placer,

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..arch.device import QCCDDevice
+
 GATE_KINDS = ("CX", "H", "M", "R", "SWAP")
 MOVEMENT_KINDS = ("SPLIT", "MERGE", "SHUTTLE", "JUNCTION_ENTRY", "JUNCTION_EXIT")
 
@@ -85,6 +87,7 @@ class CompiledProgram:
     start: list[float]
     rounds: int
     qubit_to_trap: dict[int, int]    # initial placement
+    device: QCCDDevice               # the device the ops run on
     stats: ProgramStats
     router: str = "greedy"           # routing strategy that produced ops
     placer: str = "projection"       # placement strategy behind qubit_to_trap

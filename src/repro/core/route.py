@@ -24,8 +24,7 @@ independent.
 
 Only the pass structure and the priority-order movement policy live
 here; pathfinding, emission and invariant restoration are substrate
-machinery, so this strategy is bit-identical to the pre-strategy
-``Router`` monolith by construction.
+machinery shared with every other strategy.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 from .ir import QccdOp
 from .routing_base import RoutingError, RoutingStrategy, register_router
 
-__all__ = ["GreedyRouter", "Router", "RoutingError"]
+__all__ = ["GreedyRouter", "RoutingError"]
 
 
 @register_router("greedy")
@@ -80,7 +79,3 @@ class GreedyRouter(RoutingStrategy):
         # the program ends in a legal steady state.
         self._final_restore()
         return self.ops
-
-
-# Backwards-compatible name: the pre-strategy monolith was ``Router``.
-Router = GreedyRouter

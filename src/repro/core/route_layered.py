@@ -60,12 +60,13 @@ class LayeredRouter(RoutingStrategy):
         one batch never oversubscribes a trap, junction or segment.
         """
         queue: list[tuple[tuple[int, int, int], int]] = []
+        location = self.location
+        first, last = self._gate_first, self._gate_last
         for gid in pending:
             if gid not in self._ready:
                 continue
-            gate = self.gates[gid]
-            if len({self.location[q] for q in gate.qubits}) > 1:
-                heapq.heappush(queue, (gate.priority, gid))
+            if location[first[gid]] != location[last[gid]]:
+                heapq.heappush(queue, (self.gates[gid].priority, gid))
         alloc = self._occupancy()
         moved: set[int] = set()
         plans: list[tuple[int, list[int]]] = []

@@ -8,7 +8,15 @@ needs regardless of *policy*:
   component capacity admissibility);
 - congestion-aware Dijkstra path search with static-distance detour
   bounds, run over flat per-component tables built once per router
-  (see :meth:`RoutingStrategy._build_tables`);
+  (see :meth:`RoutingStrategy._build_tables`).  A search for one
+  destination trap stops as soon as its answer is fixed, and returns
+  exactly what the exhaustive search would: a full destination can
+  never be entered, so it fails at once; a step's cost depends only on
+  the component entered and nodes pop in non-decreasing cost, so the
+  first relaxation of the destination is final; and the detour test
+  bounds a path's :meth:`~RoutingStrategy._path_cost`, whose terms are
+  each at least the search's own, so once a popped cost plus the
+  destination's step passes that bound, no path can pass the test;
 - movement emission (split / shuttle / junction entry and exit / merge,
   with in-trap swaps to reach a chain end) under happens-before
   tracking per ion and per hardware component;
@@ -50,6 +58,16 @@ from .place import Placement
 _INF = float("inf")
 
 
+def _trace(prev: dict[int, int], src: int, node: int) -> list[int]:
+    """The search path from ``src`` to ``node``, read back through ``prev``."""
+    path = [node]
+    while node != src:
+        node = prev[node]
+        path.append(node)
+    path.reverse()
+    return path
+
+
 class RoutingError(RuntimeError):
     """Raised when the router cannot make progress (deadlock)."""
 
@@ -89,9 +107,7 @@ class RoutingStrategy:
 
     Subclasses implement :meth:`run` — the pass structure and movement
     policy — on top of the sequencing, pathfinding, emission and
-    invariant-restoration machinery here.  The substrate is exactly the
-    pre-strategy ``Router`` internals, so the ``greedy`` strategy built
-    on it is bit-identical to the old monolith by construction.
+    invariant-restoration machinery here.
     """
 
     name = "base"
@@ -133,6 +149,10 @@ class RoutingStrategy:
             for dep in g.deps:
                 self._dependents[dep].append(g.id)
         self._ready: set[int] = {g.id for g in gates if not g.deps}
+        # A gate's two endpoint qubits, by gate id (the same qubit twice
+        # for a single-qubit gate): it is local when both sit in one trap.
+        self._gate_first = [g.qubits[0] for g in gates]
+        self._gate_last = [g.qubits[-1] for g in gates]
         self._sequenced: set[int] = set()
         # Per-qubit pending gates in priority order (for prefetch routing).
         self._qubit_gates: dict[int, list[int]] = defaultdict(list)
@@ -203,28 +223,31 @@ class RoutingStrategy:
         round_idx: int = 0,
     ) -> int:
         last_ion = self._last_ion
-        deps = {last_ion[ion] for ion in ions if ion in last_ion}
+        comp_history = self._comp_history
+        deps = [last_ion[ion] for ion in ions if ion in last_ion]
         for comp in components:
-            history = self._comp_history[comp]
+            history = comp_history[comp]
             window = self._window[comp]
             if len(history) >= window:
-                deps.add(history[-window])
-        op = QccdOp(
-            id=len(self.ops),
-            kind=kind,
-            ions=ions,
-            components=components,
-            duration=duration,
-            deps=tuple(sorted(deps)),
-            gate_id=gate_id,
-            round=round_idx,
+                deps.append(history[-window])
+        op_id = len(self.ops)
+        self.ops.append(
+            QccdOp(
+                op_id,
+                kind,
+                ions,
+                components,
+                duration,
+                tuple(sorted(set(deps))) if len(deps) > 1 else tuple(deps),
+                gate_id,
+                round_idx,
+            )
         )
-        self.ops.append(op)
         for ion in ions:
-            last_ion[ion] = op.id
+            last_ion[ion] = op_id
         for comp in components:
-            self._comp_history[comp].append(op.id)
-        return op.id
+            comp_history[comp].append(op_id)
+        return op_id
 
     # ------------------------------------------------------------------
     # Gate DAG bookkeeping
@@ -262,11 +285,13 @@ class RoutingStrategy:
     def _sequence_local_gates(self) -> int:
         """Emit all ready gates whose qubits share a trap (fixpoint)."""
         emitted = 0
+        location = self.location
+        first, last = self._gate_first, self._gate_last
         while True:
             runnable = [
                 gid
                 for gid in self._ready
-                if len({self.location[q] for q in self.gates[gid].qubits}) == 1
+                if location[first[gid]] == location[last[gid]]
             ]
             if not runnable:
                 return emitted
@@ -285,10 +310,12 @@ class RoutingStrategy:
                 emitted += 1
 
     def _blocked_gates(self) -> list[LogicalGate]:
+        location = self.location
+        first, last = self._gate_first, self._gate_last
         blocked = [
             self.gates[gid]
             for gid in self._ready
-            if len({self.location[q] for q in self.gates[gid].qubits}) > 1
+            if location[first[gid]] != location[last[gid]]
         ]
         return sorted(blocked, key=lambda g: g.priority)
 
@@ -457,12 +484,9 @@ class RoutingStrategy:
         """
         if src == dst:
             return None
-        path = self._dijkstra(src, alloc, lambda node: node == dst)
-        if path is None:
-            return None
-        free_cost = self._static_distance(src, dst)
-        taken_cost = self._path_cost(path)
-        if taken_cost > self.DETOUR_TOLERANCE * free_cost + 1e-9:
+        bound = self.DETOUR_TOLERANCE * self._static_distance(src, dst) + 1e-9
+        path = self._dijkstra(src, alloc, dst=dst, bound=bound)
+        if path is None or self._path_cost(path) > bound:
             return None
         return path
 
@@ -507,13 +531,38 @@ class RoutingStrategy:
     def _find_path_to_any(self, src, alloc, accept) -> list[int] | None:
         return self._dijkstra(src, alloc, accept)
 
-    def _dijkstra(self, src: int, alloc: dict[int, int], accept) -> list[int] | None:
+    def _dijkstra(
+        self,
+        src: int,
+        alloc: dict[int, int],
+        accept=None,
+        *,
+        dst: int | None = None,
+        bound: float = _INF,
+    ) -> list[int] | None:
         """Cheapest admissible path from ``src`` to a trap that ``accept``
-        takes.
+        takes, or, given ``dst``, to that one trap.
 
         A component is admissible while ``alloc`` holds fewer ions than
         its capacity.  The heap key ``(cost, node)``, the neighbour
         order and the summation order decide ties, and so the path.
+
+        With ``accept``, a trap is taken when it is popped: an equal-cost
+        trap with a lower id can still come off the heap first.  With
+        ``dst``, the search stops as soon as its answer is fixed, and
+        returns exactly what the exhaustive search would:
+
+        - a full ``dst`` is never entered, so the answer is ``None``
+          before any search;
+        - the cost of a step depends only on the component entered and
+          nodes pop in non-decreasing cost, so the first relaxation of
+          ``dst`` is final (a later one is no cheaper, and updates need
+          a strict ``<``); the path returns there, not at its pop;
+        - ``bound`` is a cap on the path's :meth:`_path_cost`, which sums
+          left to right the same terms as this search, each one at
+          least as large; once a popped cost ``d`` has
+          ``d + step[dst] > bound``, every path still to come breaks the
+          cap, and the answer is ``None``.
         """
         neighbors = self._neighbors
         capacity = self._capacity
@@ -521,6 +570,12 @@ class RoutingStrategy:
         step = self._step
         heappop = heapq.heappop
         heappush = heapq.heappush
+        if dst is None:
+            dst, dst_step = -1, 0.0
+        elif dst == src or not is_trap[dst] or alloc[dst] >= capacity[dst]:
+            return None
+        else:
+            dst_step = step[dst]
         dist = [_INF] * len(step)
         visited = [False] * len(step)
         prev: dict[int, int] = {}
@@ -530,14 +585,16 @@ class RoutingStrategy:
             d, node = heappop(heap)
             if visited[node]:
                 continue
+            if d + dst_step > bound:
+                return None
             visited[node] = True
-            if node != src and is_trap[node] and accept(node):
-                path = [node]
-                while node != src:
-                    node = prev[node]
-                    path.append(node)
-                path.reverse()
-                return path
+            if (
+                accept is not None
+                and node != src
+                and is_trap[node]
+                and accept(node)
+            ):
+                return _trace(prev, src, node)
             for nxt in neighbors[node]:
                 if visited[nxt] or alloc[nxt] >= capacity[nxt]:
                     continue
@@ -545,6 +602,8 @@ class RoutingStrategy:
                 if nd < dist[nxt]:
                     dist[nxt] = nd
                     prev[nxt] = node
+                    if nxt == dst:
+                        return _trace(prev, src, dst)
                     heappush(heap, (nd, nxt))
         return None
 
@@ -652,9 +711,7 @@ class RoutingStrategy:
             mover, dest = self._mover_and_destination(gate)
             alloc = self._occupancy()
             # (1) Route the mover directly, however congested the path.
-            path = self._dijkstra(
-                self.location[mover], alloc, lambda node: node == dest
-            )
+            path = self._dijkstra(self.location[mover], alloc, dst=dest)
             if path is not None:
                 self._emit_hop(mover, path)
                 return True
@@ -667,7 +724,7 @@ class RoutingStrategy:
             corridor = self._dijkstra(
                 self.location[mover],
                 {c.id: 0 for c in self.device.components},
-                lambda node: node == dest,
+                dst=dest,
             )
             if corridor is not None:
                 for node in corridor[1:-1]:

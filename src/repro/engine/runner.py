@@ -232,10 +232,8 @@ def compile_design_point(
         router=job.router,
         placer=job.placer,
     )
-    compiler = QccdCompiler(config)
-    program = compiler.compile()
-    placement = compiler.placement()
-    resources = wiring_method.resources(placement.device)
+    program = QccdCompiler(config).compile()
+    resources = wiring_method.resources(program.device)
     metrics = {
         "code": job.code,
         "distance": job.distance,

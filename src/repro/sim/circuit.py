@@ -33,6 +33,17 @@ ANNOTATIONS = frozenset({"DETECTOR", "OBSERVABLE_INCLUDE", "TICK"})
 ALL_NAMES = CLIFFORD_1Q | CLIFFORD_2Q | RESETS | MEASUREMENTS | NOISE_1Q | NOISE_2Q | ANNOTATIONS
 
 
+def _format_arg(value: float) -> str:
+    """The shortest text that reads back as exactly ``value``.
+
+    The text is what :class:`repro.engine.CompilationCache` keys on, so
+    two circuits whose probabilities differ must print differently.
+    Whole numbers drop Python's ``.0`` (``OBSERVABLE_INCLUDE(0)``).
+    """
+    text = repr(value)
+    return text[:-2] if text.endswith(".0") else text
+
+
 @dataclass(frozen=True)
 class Instruction:
     """One circuit instruction.
@@ -55,7 +66,7 @@ class Instruction:
         if self.tag:
             parts.append(f"[{self.tag}]")
         if self.args:
-            parts.append("(" + ", ".join(f"{a:g}" for a in self.args) + ")")
+            parts.append("(" + ", ".join(_format_arg(a) for a in self.args) + ")")
         if self.targets:
             if self.name in ("DETECTOR", "OBSERVABLE_INCLUDE"):
                 parts.append(" " + " ".join(f"rec[{t}]" for t in self.targets))

@@ -24,6 +24,7 @@ import pytest
 from repro.codes import RotatedSurfaceCode, UniformNoise, ideal_memory_circuit
 from repro.decoders import DetectorGraph, make_decoder
 from repro.engine import SweepSpec, run_sweep
+from repro.engine.cache import circuit_key
 from repro.engine.runner import compile_design_point
 from repro.noise.parameters import DEFAULT_NOISE
 from repro.sim import circuit_from_text, circuit_to_dems, pack_bool_rows
@@ -137,21 +138,18 @@ def test_compiled_graphlike_distance_and_conflicts(topology, distance, expected,
     assert graph.conflicting_edges == conflicts
 
 
-def _symptoms(dem) -> list[tuple]:
-    return [(err.detectors, err.observables) for err in dem.errors]
-
-
 def test_text_round_trip_keeps_the_graphlike_model():
     circuit = _ideal(3, 2, "X")
     parsed = circuit_from_text(str(circuit))
     assert parsed == circuit
     assert circuit_to_dems(parsed) == circuit_to_dems(circuit)
-    # Text prints noise with six significant digits, so a compiled
-    # circuit's probabilities round; its symptoms may not move.
+    # Text names every noise probability exactly, so a compiled circuit
+    # and its parsed text share one cache key and give equal DEMs.
     compiled = _compiled(3, "grid")
-    _, graphlike = circuit_to_dems(compiled)
-    _, reparsed = circuit_to_dems(circuit_from_text(str(compiled)))
-    assert _symptoms(reparsed) == _symptoms(graphlike)
+    reparsed = circuit_from_text(str(compiled))
+    assert reparsed == compiled
+    assert circuit_key(str(reparsed)) == circuit_key(str(compiled))
+    assert circuit_to_dems(reparsed) == circuit_to_dems(compiled)
     # Without its tags the same circuit decodes every detector.
     untagged = circuit_from_text(str(circuit).replace("[X]", "").replace("[Z]", ""))
     exact, graphlike = circuit_to_dems(untagged)

@@ -1236,3 +1236,34 @@ class TestDiskCacheEviction:
         assert len(backend.dmat_messages) == len(set(backend.dmat_messages))
         if primed_without:
             assert backend.dmat_messages
+
+
+class TestCompileDesignPoint:
+    @pytest.mark.parametrize("topology", ["grid", "switch"])
+    def test_places_once_and_reports_the_placed_resources(
+        self, topology, monkeypatch
+    ):
+        """A design point is placed once, by its compile, and reports the
+        resources of a fresh placement of the same point."""
+        import repro.core.compiler as compiler_module
+        from repro.arch.wiring import wiring_by_name
+        from repro.codes import make_code
+        from repro.engine.runner import compile_design_point
+        from repro.noise.parameters import DEFAULT_NOISE
+
+        place = compiler_module.place
+        calls = []
+
+        def counting_place(*args, **kwargs):
+            calls.append(args)
+            return place(*args, **kwargs)
+
+        monkeypatch.setattr(compiler_module, "place", counting_place)
+        [job] = small_spec(distances=(3,), topologies=(topology,)).expand()
+        metrics = compile_design_point(job, DEFAULT_NOISE, False).metrics
+        assert len(calls) == 1
+        device = place(make_code(job.code, 3), job.capacity, topology).device
+        resources = wiring_by_name(job.wiring).resources(device)
+        for name in ("num_traps", "num_junctions", "electrodes", "num_dacs",
+                     "data_rate_bitps", "power_w"):
+            assert metrics[name] == getattr(resources, name)

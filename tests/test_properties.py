@@ -21,7 +21,7 @@ from repro.core import (
     schedule_type_exclusive,
 )
 from repro.core.ir import MOVEMENT_KINDS
-from repro.core.route import Router
+from repro.core.route import GreedyRouter
 from repro.noise import DEFAULT_NOISE
 from repro.sim import TableauSimulator
 
@@ -70,7 +70,7 @@ class TestCompilerInvariants:
         code = make_code(name, d)
         gates = build_gate_dag(code, 2)
         placement = place(code, cap, topo)
-        ops = Router(code, placement, gates, DEFAULT_TIMES).run()
+        ops = GreedyRouter(code, placement, gates, DEFAULT_TIMES).run()
         asap = schedule_asap(ops)
         wise = schedule_type_exclusive(ops)
         end_asap = max(asap[o.id] + o.duration for o in ops)

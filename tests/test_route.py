@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from repro.arch import DEFAULT_TIMES
 from repro.codes import RepetitionCode, RotatedSurfaceCode, UnrotatedSurfaceCode
 from repro.codes.base import Role
-from repro.core import Router, build_gate_dag, place
+from repro.core import GreedyRouter, build_gate_dag, place
 from repro.core.ir import MOVEMENT_KINDS
 
 
 def _route(code, cap, topo, rounds=1):
     gates = build_gate_dag(code, rounds)
     placement = place(code, cap, topo)
-    router = Router(code, placement, gates, DEFAULT_TIMES)
+    router = GreedyRouter(code, placement, gates, DEFAULT_TIMES)
     ops = router.run()
     return ops, placement, router
 
@@ -94,7 +94,7 @@ class TestConstraintCompliance:
         rounds = 2
         gates = build_gate_dag(code, rounds)
         placement = place(code, cap, topo)
-        ops = Router(code, placement, gates, DEFAULT_TIMES).run()
+        ops = GreedyRouter(code, placement, gates, DEFAULT_TIMES).run()
         sequenced = [op.gate_id for op in ops if op.gate_id is not None]
         assert sorted(sequenced) == [g.id for g in gates]
 

@@ -6,7 +6,8 @@ components, duration and dependencies of every op), its makespan and
 its movement-op count.  The points cover every registered routing
 strategy on every topology at capacities 2, 5 and 12 (d=3), the d=5
 architecture grid the ``compile_arch`` perfbench workload compiles,
-and both baseline compilers, whose routers subclass the substrate.
+larger capacity-2 compiles (d=5 linear, d=7 grid), and both baseline
+compilers, whose routers subclass the substrate.
 
 Regenerate (only when a change to routing is intended) with::
 
@@ -63,6 +64,13 @@ GROUPS = {
         f"{name}-{topo}-c2": _baseline_point(name, topo)
         for name in sorted(BASELINES)
         for topo in TOPOLOGIES
+    },
+    # Larger compiles, rounds = distance: the search-heavy linear device
+    # (most searches there fail) and d=7 routing on the grid.
+    "large_c2": {
+        "greedy-linear-d5": _strategy_point("greedy", "linear", 2, 5, 5),
+        "layered-linear-d5": _strategy_point("layered", "linear", 2, 5, 5),
+        "greedy-grid-d7": _strategy_point("greedy", "grid", 2, 7, 7),
     },
 }
 

@@ -1,20 +1,22 @@
 """Focused unit tests for router internals (pathfinding, swaps, hops)."""
 
 import heapq
+import math
 import random
+from collections import Counter
 
 import pytest
 
 from repro.arch import DEFAULT_TIMES, grid_device, linear_device
 from repro.codes import RepetitionCode, RotatedSurfaceCode
 from repro.core import build_gate_dag, place
-from repro.core.route import Router, RoutingError
+from repro.core.route import GreedyRouter, RoutingError
 
 
 def _router(code, cap, topo, rounds=1):
     gates = build_gate_dag(code, rounds)
     placement = place(code, cap, topo)
-    return Router(code, placement, gates, DEFAULT_TIMES)
+    return GreedyRouter(code, placement, gates, DEFAULT_TIMES)
 
 
 class TestPathfinding:
@@ -189,6 +191,14 @@ def _graph_dijkstra(router, src, alloc, accept):
     return None
 
 
+def _search_cost(router, path):
+    """A path's cost as the search sums it: split, then each step entered."""
+    cost = router.times.split
+    for node in path[1:]:
+        cost += router._step[node]
+    return cost
+
+
 class TestDeviceTables:
     @pytest.mark.parametrize("topology", ["grid", "switch", "linear"])
     @pytest.mark.parametrize("capacity", [2, 5])
@@ -212,6 +222,59 @@ class TestDeviceTables:
             assert router._dijkstra(src, alloc, targets.__contains__) == expected
             found += expected is not None
         assert 0 < found < 200  # both outcomes exercised
+
+    @pytest.mark.parametrize("topology", ["grid", "switch", "linear"])
+    @pytest.mark.parametrize("capacity", [2, 5])
+    def test_single_destination_search_matches_exhaustive_search(
+        self, topology, capacity
+    ):
+        """Stopped early, the single-destination search still returns the
+        exhaustive search's path, full destinations included; under the
+        detour bound it drops only paths the detour test rejects."""
+        router = _router(RotatedSurfaceCode(3), capacity, topology)
+        rng = random.Random(f"dst-{topology}-{capacity}")
+        comps = router.device.components
+        traps = [t.id for t in router.device.traps]
+        outcomes = Counter()
+        for _ in range(300):
+            alloc = {
+                c.id: c.capacity if rng.random() < 0.15
+                else rng.randrange(min(c.capacity, 3))
+                for c in comps
+            }
+            src, dst = rng.sample(traps, 2)
+            if rng.random() < 0.2:
+                alloc[dst] = router._capacity[dst]
+            expected = _graph_dijkstra(router, src, alloc, {dst}.__contains__)
+            assert router._dijkstra(src, alloc, dst=dst) == expected
+            if expected is not None:
+                # The cutoff is tight: a bound equal to the path's search
+                # cost keeps it, one ulp below drops it.
+                cost = _search_cost(router, expected)
+                assert router._dijkstra(src, alloc, dst=dst, bound=cost) == expected
+                below = math.nextafter(cost, 0.0)
+                assert router._dijkstra(src, alloc, dst=dst, bound=below) is None
+            free = router._static_distance(src, dst)
+            bound = router.DETOUR_TOLERANCE * free + 1e-9
+            bounded = router._dijkstra(src, alloc, dst=dst, bound=bound)
+            if expected is None:
+                outcome = "full" if alloc[dst] >= capacity else "no path"
+                assert bounded is None
+            elif router._path_cost(expected) > bound:
+                outcome = "detour" if bounded is None else "detour, searched"
+                assert bounded in (None, expected)
+            else:
+                outcome = "ok"
+                assert bounded == expected
+            assert router._find_path(src, dst, alloc) == (
+                expected if outcome == "ok" else None
+            )
+            outcomes[outcome] += 1
+        # Only the grid has detours whose search cost alone breaks the
+        # bound; switch and linear devices have one route per pair, and
+        # its search cost never exceeds the static distance.
+        cut = {"detour"} if topology == "grid" else set()
+        assert {"ok", "full", "no path"} | cut <= set(outcomes)
 
     @pytest.mark.parametrize("topology", ["grid", "switch", "linear"])
     def test_tables_match_device(self, topology):

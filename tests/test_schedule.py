@@ -83,9 +83,9 @@ class TestTypeExclusive:
         gates = build_gate_dag(code, 2)
         placement = place(code, 2, "linear")
         from repro.arch import DEFAULT_TIMES
-        from repro.core import Router
+        from repro.core import GreedyRouter
 
-        ops = Router(code, placement, gates, DEFAULT_TIMES).run()
+        ops = GreedyRouter(code, placement, gates, DEFAULT_TIMES).run()
         asap = makespan(ops, schedule_asap(ops))
         wise = makespan(ops, schedule_type_exclusive(ops))
         assert wise >= asap

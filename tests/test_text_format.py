@@ -61,6 +61,15 @@ class TestRoundTrip:
         save_circuit(circ, str(path))
         assert load_circuit(str(path)) == circ
 
+    @given(st.floats(0.0, 1.0, allow_subnormal=False))
+    @settings(max_examples=60, deadline=None)
+    def test_noise_probabilities_roundtrip_exactly(self, p):
+        """The text names the exact probability, not a rounding of it."""
+        circ = StabilizerCircuit()
+        circ.append("X_ERROR", (0,), (p,))
+        circ.append("PAULI_CHANNEL_1", (0,), (p / 3, p / 7, p / 11))
+        assert circuit_from_text(circuit_to_text(circ)) == circ
+
     @given(st.lists(st.sampled_from(["H", "S", "X", "Z"]), min_size=1, max_size=8),
            st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
