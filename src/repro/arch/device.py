@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from .components import Component, ComponentKind
 
 
@@ -26,7 +24,7 @@ class QCCDDevice:
     def __post_init__(self):
         if self.trap_capacity < 2:
             raise ValueError("trap capacity must be at least 2")
-        self._graph: nx.Graph | None = None
+        self._adjacency: list[tuple[int, ...]] | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -54,18 +52,22 @@ class QCCDDevice:
     def component(self, cid: int) -> Component:
         return self.components[cid]
 
-    def graph(self) -> nx.Graph:
-        """Component connectivity graph (cached)."""
-        if self._graph is None:
-            g = nx.Graph()
-            for comp in self.components:
-                g.add_node(comp.id, kind=comp.kind)
-            g.add_edges_from(self.edges)
-            self._graph = g
-        return self._graph
+    def adjacency(self) -> list[tuple[int, ...]]:
+        """Neighbours of each component, indexed by id (cached).
+
+        Each tuple lists neighbours in the order their edges first
+        appear in ``edges``; a repeated edge adds nothing.
+        """
+        if self._adjacency is None:
+            adj: list[dict[int, None]] = [{} for _ in self.components]
+            for a, b in self.edges:
+                adj[a][b] = None
+                adj[b][a] = None
+            self._adjacency = [tuple(nbrs) for nbrs in adj]
+        return self._adjacency
 
     def neighbors(self, cid: int) -> list[int]:
-        return list(self.graph().neighbors(cid))
+        return list(self.adjacency()[cid])
 
     def neighbor_traps(self, trap_id: int) -> list[int]:
         """Traps reachable from ``trap_id`` through one segment/junction run."""
@@ -119,5 +121,17 @@ class QCCDDevice:
             degree = len(self.neighbors(seg.id))
             if degree != 2:
                 raise ValueError(f"segment {seg.id} must join exactly two nodes")
-        if self.num_traps > 1 and not nx.is_connected(self.graph()):
+        if self.num_traps > 1 and not self._connected():
             raise ValueError("device graph must be connected")
+
+    def _connected(self) -> bool:
+        """Whether every component is reachable from component 0."""
+        adj = self.adjacency()
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            for nxt in adj[frontier.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return len(seen) == len(adj)

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import networkx as nx
-
 
 class Role(Enum):
     DATA = "data"
@@ -104,27 +102,22 @@ class StabilizerCode:
         return [c for c in self.checks if c.basis == basis]
 
     # ------------------------------------------------------------------
-    def interaction_graph(self) -> nx.Graph:
-        """Qubit graph weighted by how early each entanglement happens.
+    def interaction_graph(self) -> dict[tuple[int, int], int]:
+        """Qubit interactions weighted by how early each one happens.
 
-        Edge weight = (num_layers - layer), so first-layer interactions
-        carry the highest weight; the partitioner then avoids cutting
-        them (paper Sec. 4.2).
+        Maps ``(ancilla, data)`` to the summed weight (num_layers -
+        layer) of the CX layers joining the pair, so first-layer
+        interactions carry the highest weight; the partitioner then
+        avoids cutting them (paper Sec. 4.2).
         """
-        graph = nx.Graph()
-        for qubit in self.qubits:
-            graph.add_node(qubit.index, pos=qubit.pos, role=qubit.role)
+        weights: dict[tuple[int, int], int] = {}
         layers = self.num_layers
         for check in self.checks:
             for layer, data in enumerate(check.data_by_layer):
-                if data is None:
-                    continue
-                weight = layers - layer
-                if graph.has_edge(check.ancilla, data):
-                    graph[check.ancilla][data]["weight"] += weight
-                else:
-                    graph.add_edge(check.ancilla, data, weight=weight)
-        return graph
+                if data is not None:
+                    key = (check.ancilla, data)
+                    weights[key] = weights.get(key, 0) + layers - layer
+        return weights
 
     # ------------------------------------------------------------------
     def _validate(self) -> None:

@@ -7,9 +7,10 @@ to traps by a pluggable :class:`PlacementStrategy`:
 
 * ``projection`` (the paper's scheme, and the default): minimum-cost
   assignment (Hungarian algorithm) of cluster centroids to trap sites
-  on normalised geometric distance — scipy's Jonker-Volgenant solver is
-  the polynomial-time equivalent of the paper's subset-enumeration +
-  Hungarian scheme.
+  on normalised geometric distance — the shortest-augmenting-path
+  solver in :mod:`.assignment` (a port of scipy's, returning its
+  assignment) is the polynomial-time equivalent of the paper's
+  subset-enumeration + Hungarian scheme.
 * ``window`` (Enola-style incremental placement): clusters are placed
   one at a time, most-connected-to-the-placed-set first, each onto the
   free trap that minimises interaction-weighted distance to its already
@@ -32,13 +33,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..arch.device import QCCDDevice
 from ..arch.topologies import grid_device_from_sites, linear_device, switch_device
 from ..codes.base import StabilizerCode
 from ..codes.rectangular import RectangularRotatedCode
 from ..codes.rotated_surface import RotatedSurfaceCode
+from .assignment import linear_sum_assignment
 
 
 @dataclass
@@ -272,7 +273,7 @@ class ProjectionPlacer(PlacementStrategy):
         cost = _assignment_cost(centroids, trap_pos)
         rows, cols = linear_sum_assignment(cost)
         return [
-            (int(cluster_idx), traps[trap_idx].id)
+            (cluster_idx, traps[trap_idx].id)
             for cluster_idx, trap_idx in zip(rows, cols)
         ]
 
@@ -294,12 +295,12 @@ class WindowPlacer(PlacementStrategy):
         k = len(clusters)
         cluster_of = {q: i for i, cluster in enumerate(clusters) for q in cluster}
         weight = np.zeros((k, k))
-        for a, b, data in code.interaction_graph().edges(data=True):
+        for (a, b), w in code.interaction_graph().items():
             ca, cb = cluster_of.get(a), cluster_of.get(b)
             if ca is None or cb is None or ca == cb:
                 continue
-            weight[ca, cb] += data["weight"]
-            weight[cb, ca] += data["weight"]
+            weight[ca, cb] += w
+            weight[cb, ca] += w
 
         traps = device.traps
         norm_centroids = _normalise(_centroids(clusters, pos))

@@ -8,7 +8,8 @@ needs regardless of *policy*:
   component capacity admissibility);
 - congestion-aware Dijkstra path search with static-distance detour
   bounds, run over flat per-component tables built once per router
-  (see :meth:`RoutingStrategy._build_tables`).  A search for one
+  from :meth:`~repro.arch.device.QCCDDevice.adjacency` (see
+  :meth:`RoutingStrategy._build_tables`).  A search for one
   destination trap stops as soon as its answer is fixed, and returns
   exactly what the exhaustive search would: a full destination can
   never be entered, so it fails at once; a step's cost depends only on
@@ -164,15 +165,16 @@ class RoutingStrategy:
     def _build_tables(self) -> None:
         """Flatten the device into per-component lists, indexed by id.
 
-        The search loops read only these, never the networkx graph or
-        the :class:`Component` objects.  Neighbours keep
-        ``device.graph().neighbors()`` order and every cost is the same
-        float expression the search always summed, so paths, and so
-        programs, are byte-identical to a search over the graph.
+        The search loops read only these, never the
+        :class:`Component` objects.  Neighbours keep
+        ``device.adjacency()`` order (edge-insertion order) and every
+        cost is the same float expression the search always summed, so
+        paths, and so programs, are byte-identical to a search over the
+        device.
         """
         device = self.device
         times = self.times
-        graph = device.graph()
+        adjacency = device.adjacency()
         junction_cost = times.junction_entry + times.junction_exit
         self._neighbors: list[tuple[int, ...]] = []
         self._kind: list[ComponentKind] = []
@@ -188,7 +190,7 @@ class RoutingStrategy:
         # is a non-blocking crossbar).
         self._window: list[int] = []
         for comp in device.components:
-            self._neighbors.append(tuple(graph.neighbors(comp.id)))
+            self._neighbors.append(adjacency[comp.id])
             self._kind.append(comp.kind)
             self._capacity.append(comp.capacity)
             self._is_trap.append(comp.is_trap)

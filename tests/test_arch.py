@@ -232,3 +232,36 @@ class TestDeviceValidation:
         dev.edges.append((0, 1))
         with pytest.raises(ValueError):
             dev.validate()
+
+    @staticmethod
+    def _islands(count):
+        """``count`` trap-segment-trap islands with no link between them."""
+        from repro.arch.components import Component
+        from repro.arch.device import QCCDDevice
+
+        dev = QCCDDevice("linear", 2)
+        for island in range(count):
+            base, y = 3 * island, 10 * island
+            dev.components.append(Component(base, ComponentKind.TRAP, (0, y), 2))
+            dev.components.append(Component(base + 1, ComponentKind.SEGMENT, (1, y), 1))
+            dev.components.append(Component(base + 2, ComponentKind.TRAP, (2, y), 2))
+            dev.edges += [(base, base + 1), (base + 1, base + 2)]
+        return dev
+
+    def test_disconnected_device_rejected(self):
+        self._islands(1).validate()
+        with pytest.raises(ValueError, match="must be connected"):
+            self._islands(2).validate()
+
+    @pytest.mark.parametrize("topology", ["grid", "switch", "linear"])
+    @pytest.mark.parametrize("capacity", [2, 5, 12])
+    @pytest.mark.parametrize("distance", [3, 5, 7])
+    def test_shipped_devices_validate(self, topology, capacity, distance):
+        from repro.codes import RotatedSurfaceCode
+        from repro.core.place import build_device_for
+
+        device, clusters = build_device_for(
+            RotatedSurfaceCode(distance), capacity, topology
+        )
+        device.validate()
+        assert device.num_traps >= len(clusters)

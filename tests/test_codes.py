@@ -174,9 +174,9 @@ class TestInteractionGraph:
     def test_nodes_and_edges(self):
         code = RotatedSurfaceCode(3)
         graph = code.interaction_graph()
-        assert graph.number_of_nodes() == code.num_qubits
+        assert {q for edge in graph for q in edge} == set(range(code.num_qubits))
         expected_edges = sum(c.weight for c in code.checks)
-        assert graph.number_of_edges() == expected_edges
+        assert len(graph) == expected_edges
 
     def test_early_layers_weigh_more(self):
         code = RotatedSurfaceCode(3)
@@ -184,10 +184,7 @@ class TestInteractionGraph:
         check = next(c for c in code.checks if c.weight == 4)
         first = check.data_by_layer[0]
         last = check.data_by_layer[-1]
-        assert (
-            graph[check.ancilla][first]["weight"]
-            > graph[check.ancilla][last]["weight"]
-        )
+        assert graph[check.ancilla, first] > graph[check.ancilla, last]
 
 
 class TestMemoryExperiments:

@@ -72,10 +72,8 @@ class TestPartition:
             for q in cluster:
                 cluster_of[q] = i
         graph = code.interaction_graph()
-        internal = sum(
-            1 for u, v in graph.edges if cluster_of[u] == cluster_of[v]
-        )
-        assert internal / graph.number_of_edges() > 0.4
+        internal = sum(1 for u, v in graph if cluster_of[u] == cluster_of[v])
+        assert internal / len(graph) > 0.4
 
 
 class TestDeviceSizing:

@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 
+import networkx as nx
 import pytest
 
 from repro.arch import DEFAULT_TIMES, grid_device, linear_device
@@ -153,9 +154,19 @@ class TestOccupancy:
         assert router._window[trap.id] == 1
 
 
+def _nx_graph(device):
+    """The device as networkx builds it from the components and edges,
+    independent of ``device.adjacency()``."""
+    graph = nx.Graph()
+    graph.add_nodes_from(c.id for c in device.components)
+    graph.add_edges_from(device.edges)
+    return graph
+
+
 def _graph_dijkstra(router, src, alloc, accept):
-    """Reference search over the networkx graph and the Component objects."""
+    """Reference search over a networkx graph and the Component objects."""
     device, times = router.device, router.times
+    graph = _nx_graph(device)
 
     def step(cid):
         comp = device.component(cid)
@@ -180,7 +191,7 @@ def _graph_dijkstra(router, src, alloc, accept):
                 node = prev[node]
                 path.append(node)
             return path[::-1]
-        for nxt in device.graph().neighbors(node):
+        for nxt in graph.neighbors(node):
             if nxt in visited or alloc[nxt] >= device.component(nxt).capacity:
                 continue
             nd = d + step(nxt)
@@ -282,9 +293,10 @@ class TestDeviceTables:
         neighbour order, and the step costs the graph search summed."""
         router = _router(RotatedSurfaceCode(2), 3, topology)
         device, times = router.device, router.times
+        graph = _nx_graph(device)
         for comp in device.components:
             cid = comp.id
-            assert router._neighbors[cid] == tuple(device.graph().neighbors(cid))
+            assert router._neighbors[cid] == tuple(graph.neighbors(cid))
             assert router._capacity[cid] == comp.capacity
             assert router._is_trap[cid] == comp.is_trap
             assert router._kind[cid] is comp.kind
