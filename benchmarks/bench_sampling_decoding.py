@@ -98,7 +98,7 @@ def _bench_point(distance: int, improvement: float, shard_shots: int,
         distance, improvement, shard_shots * num_shards
     )
     dem_sampler = cache.dem_sampler(compiled)
-    cache.distance_matrix(compiled)  # dijkstra priced into neither path
+    compiled.graph.shortest_paths()  # dijkstra priced into neither path
     frame_decoder = MwpmDecoder(compiled.graph)
     fast_decoder = MwpmDecoder(compiled.graph)
     shards = plan_shards(job.shots, shard_shots, MASTER_SEED, job.key)
@@ -242,7 +242,7 @@ def _bench_mwpm_batched(distance: int, improvement: float,
     """
     _, cache, compiled = _compiled_point(distance, improvement, shots)
     sampler = cache.dem_sampler(compiled)
-    cache.distance_matrix(compiled)
+    compiled.graph.shortest_paths()
     packed = sampler.sample_packed(shots, seed=MASTER_SEED)
     detectors = packed.detectors  # boolean copy for the scalar reference
 

@@ -29,10 +29,6 @@ class CodeQubit:
     pos: tuple[float, float]
     basis: str | None = None  # 'X' or 'Z' for ancillas, None for data
 
-    @property
-    def is_data(self) -> bool:
-        return self.role is Role.DATA
-
 
 @dataclass(frozen=True)
 class Check:
@@ -91,12 +87,6 @@ class StabilizerCode:
     @property
     def num_layers(self) -> int:
         return max(len(c.data_by_layer) for c in self.checks)
-
-    def check_of_ancilla(self, ancilla: int) -> Check:
-        for check in self.checks:
-            if check.ancilla == ancilla:
-                return check
-        raise KeyError(f"no check uses ancilla {ancilla}")
 
     def checks_of_basis(self, basis: str) -> list[Check]:
         return [c for c in self.checks if c.basis == basis]

@@ -57,10 +57,6 @@ class QccdOp:
     def is_movement(self) -> bool:
         return self.kind in MOVEMENT_KINDS
 
-    @property
-    def is_gate_swap(self) -> bool:
-        return self.kind == "SWAP"
-
 
 @dataclass
 class ProgramStats:

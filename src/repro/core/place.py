@@ -50,10 +50,6 @@ class Placement:
     qubit_to_trap: dict[int, int]
     trap_chains: dict[int, list[int]]   # initial chain order per trap
 
-    @property
-    def used_traps(self) -> list[int]:
-        return sorted(self.trap_chains)
-
 
 def layout_positions(code: StabilizerCode) -> dict[int, tuple[float, float]]:
     """Code-qubit positions in *router frame* coordinates.

@@ -18,6 +18,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from ..sim.dem import DetectorErrorModel
 from ..sim.dem_sampler import pack_bool_rows
+from ..telemetry import span
 
 _MIN_P = 1e-14
 
@@ -60,9 +61,7 @@ class DetectorGraph:
     conflicting_edges: int = 0
 
     _dist: np.ndarray | None = None
-    _pred: np.ndarray | None = None
-    _adj: dict[int, list[int]] | None = None
-    _pair_obs: dict[tuple[int, int], int] | None = None
+    _obs: np.ndarray | None = None
 
     @property
     def boundary(self) -> int:
@@ -129,116 +128,54 @@ class DetectorGraph:
         return pack_bool_rows(touched)[0]
 
     # ------------------------------------------------------------------
-    def edge_between(self, u: int, v: int) -> DetectorEdge | None:
-        key = (min(u, v), max(u, v))
-        for edge in self.edges:
-            if (min(edge.u, edge.v), max(edge.u, edge.v)) == key:
-                return edge
-        return None
-
-    def neighbors(self) -> dict[int, list[int]]:
-        """Adjacency lists (cached) in terms of edge indices."""
-        if self._adj is None:
-            adj: dict[int, list[int]] = {i: [] for i in range(self.num_nodes)}
-            for idx, edge in enumerate(self.edges):
-                adj[edge.u].append(idx)
-                adj[edge.v].append(idx)
-            self._adj = adj
-        return self._adj
-
-    # ------------------------------------------------------------------
-    def _ensure_shortest_paths(self) -> None:
-        if self._dist is not None:
-            return
-        n = self.num_nodes
-        rows = [e.u for e in self.edges]
-        cols = [e.v for e in self.edges]
-        data = [e.weight for e in self.edges]
-        mat = coo_matrix((data, (rows, cols)), shape=(n, n))
-        dist, pred = dijkstra(
-            mat, directed=False, return_predecessors=True
-        )
-        self._dist = dist
-        self._pred = pred
-
     def shortest_paths(self) -> tuple[np.ndarray, np.ndarray]:
-        """The all-pairs ``(dist, pred)`` matrices, computing on demand.
+        """The all-pairs ``(dist, obs)`` matrices, computed once per graph.
 
-        These are the expensive per-circuit decoder artefact (Dijkstra
-        over every node); the engine's :class:`CompilationCache` stores
-        them on disk and ships them to workers so each is computed at
-        most once per circuit fleet-wide.
+        ``dist`` is the Dijkstra distance between every node pair
+        (``inf`` when unreachable).  ``obs[u, v]`` is the observable
+        mask of the shortest u-v path in the tree rooted at
+        ``min(u, v)``, and 0 for unreachable pairs: the correction a
+        matching decoder applies for that pair, gathered rather than
+        walked.  The masks come from scipy's predecessor matrix by
+        pointer doubling: each pass XORs a node's partial path mask
+        with its pointer's and jumps the pointer to the pointer's
+        pointer, so every node reaches its root in ``log2(depth)``
+        vectorised passes.
         """
-        self._ensure_shortest_paths()
-        return self._dist, self._pred
+        if self._dist is None:
+            with span("dijkstra"):
+                self._dist, self._obs = self._all_pairs()
+        return self._dist, self._obs
 
-    def set_shortest_paths(self, dist: np.ndarray, pred: np.ndarray) -> None:
-        """Inject precomputed ``(dist, pred)`` matrices (cache restore)."""
-        dist = np.asarray(dist, dtype=np.float64)
-        pred = np.asarray(pred)
+    def _all_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         n = self.num_nodes
-        if dist.shape != (n, n) or pred.shape != (n, n):
-            raise ValueError(
-                f"distance matrices must be {(n, n)}, got "
-                f"{dist.shape} / {pred.shape}"
-            )
-        self._dist = dist
-        self._pred = pred
+        u = np.array([e.u for e in self.edges], dtype=np.intp)
+        v = np.array([e.v for e in self.edges], dtype=np.intp)
+        weight = [e.weight for e in self.edges]
+        mat = coo_matrix((weight, (u, v)), shape=(n, n))
+        dist, pred = dijkstra(mat, directed=False, return_predecessors=True)
+        edge_obs = np.zeros((n, n), dtype=np.int64)
+        edge_obs[u, v] = edge_obs[v, u] = [e.observables for e in self.edges]
+        # Row r is the tree rooted at r.  ptr holds flat indices into
+        # the (n, n) plane; roots and unreachable nodes point at
+        # themselves, with mask 0.
+        node = np.arange(n)
+        ptr = np.where(pred < 0, node, pred)
+        obs = edge_obs[ptr, node].ravel()
+        del edge_obs, pred
+        ptr = (ptr + (node * n)[:, None]).ravel()
+        while True:
+            nxt = ptr[ptr]
+            if np.array_equal(nxt, ptr):
+                break
+            obs ^= obs[ptr]
+            ptr = nxt
+        # A pair reads the tree rooted at its smaller node.
+        obs = obs.reshape(n, n)
+        return dist, np.where(np.tri(n, k=-1, dtype=bool), obs.T, obs)
 
     def distance(self, u: int, v: int) -> float:
-        self._ensure_shortest_paths()
-        return float(self._dist[u, v])
-
-    def path_observable_mask(self, u: int, v: int) -> int:
-        """XOR of edge observable masks along the shortest u-v path.
-
-        Memoised per node pair: matching decoders re-derive the same
-        pair corrections for every syndrome that matches them.
-        """
-        if u > v:
-            u, v = v, u
-        if self._pair_obs is None:
-            self._pair_obs = {}
-        cached = self._pair_obs.get((u, v))
-        if cached is not None:
-            return cached
-        self._ensure_shortest_paths()
-        edge_obs = self._edge_obs_lookup()
-        mask = 0
-        node = v
-        while node != u:
-            prev = int(self._pred[u, node])
-            if prev < 0:
-                raise ValueError(f"nodes {u} and {v} are disconnected")
-            mask ^= edge_obs[(min(prev, node), max(prev, node))]
-            node = prev
-        self._pair_obs[(u, v)] = mask
-        return mask
-
-    def path_nodes(self, u: int, v: int) -> list[int]:
-        self._ensure_shortest_paths()
-        path = [v]
-        node = v
-        while node != u:
-            node = int(self._pred[u, node])
-            if node < 0:
-                raise ValueError(f"nodes {u} and {v} are disconnected")
-            path.append(node)
-        path.reverse()
-        return path
-
-    def _edge_obs_lookup(self) -> dict[tuple[int, int], int]:
-        lookup = getattr(self, "_edge_obs_memo", None)
-        if lookup is not None:
-            return lookup
-        lookup = {}
-        for edge in self.edges:
-            key = (min(edge.u, edge.v), max(edge.u, edge.v))
-            existing = lookup.get(key)
-            if existing is None:
-                lookup[key] = edge.observables
-        object.__setattr__(self, "_edge_obs_memo", lookup)
-        return lookup
+        return float(self.shortest_paths()[0][u, v])
 
     def floor_probability(self) -> float:
         """Probability that undetectable mechanisms flip observable 0."""

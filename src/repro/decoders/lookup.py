@@ -53,7 +53,3 @@ class LookupDecoder(BatchDecoderMixin):
         if entry is None:
             return 0  # unexplainable syndrome: abstain
         return entry[1]
-
-    @property
-    def num_syndromes(self) -> int:
-        return len(self._table)

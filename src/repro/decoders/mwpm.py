@@ -3,9 +3,9 @@
 The decoder pairs up flagged detectors (or matches them to the virtual
 boundary) so that the total log-likelihood weight of the implied error
 chains is minimised, then reports which logical observables those chains
-flip.  Distances come from one all-pairs Dijkstra over the detector
-graph — a per-circuit artefact the engine caches on disk and ships to
-workers, so no decode ever recomputes it.
+flip.  Distances and path observable masks come from the detector
+graph's one all-pairs Dijkstra (:meth:`DetectorGraph.shortest_paths`),
+so every correction is a gather from two dense matrices.
 
 Per-decode matching never builds a graph object per shot.  Three
 exact reductions run first:
@@ -52,12 +52,6 @@ _DP_MAX_CLUSTER = 10
 # repeat, so this is the decoder's highest-leverage cache.
 _CLUSTER_MEMO_LIMIT = 1 << 18
 
-# Past this many detectors the dense (n, n) pair-mask cache behind the
-# batched 2-defect fast path would cost tens of MB; larger graphs fall
-# back to the dict-memoised per-pair walk (still correct, just scalar
-# mask gathers).
-_PAIR_DENSE_LIMIT = 2048
-
 
 class MwpmDecoder(BatchDecoderMixin):
     """Decode detector samples by minimum-weight perfect matching."""
@@ -66,16 +60,12 @@ class MwpmDecoder(BatchDecoderMixin):
         self.graph = graph
         self.num_detectors = graph.num_detectors
         self.detector_mask = graph.detector_mask()
-        self._dist, _ = graph.shortest_paths()
+        # obs[u, v]: observable mask of the shortest u-v path, 0 where
+        # unreachable — so an unmatchable detector's boundary match
+        # abstains with no guard.
+        self._dist, self._obs = graph.shortest_paths()
         # cluster node tuple -> correction mask of its optimal matching
         self._cluster_masks: dict[tuple[int, ...], int] = {}
-        # Vectorised fast-path caches, built lazily on the first batched
-        # decode: per-detector boundary masks/finiteness and a dense
-        # lazily-filled (u, v) pair-mask matrix for the 2-defect path.
-        self._bmasks: np.ndarray | None = None
-        self._bfinite: np.ndarray | None = None
-        self._pair_mask: np.ndarray | None = None
-        self._pair_known: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def decode_unique_words(self, det_words: np.ndarray) -> np.ndarray:
@@ -162,16 +152,15 @@ class MwpmDecoder(BatchDecoderMixin):
         size_at = comp_sizes[comp_of]
         singles = np.flatnonzero(size_at == 1)
         if singles.size:
-            self._ensure_boundary_masks()
-            u = cols[singles]
-            masks = np.where(self._bfinite[u], self._bmasks[u], 0)
-            np.bitwise_xor.at(out, ridx[singles], masks)
+            np.bitwise_xor.at(
+                out, ridx[singles], self._obs[cols[singles], boundary]
+            )
         duos = np.flatnonzero(size_at == 2)
         if duos.size:
             duos = duos[np.argsort(roots[duos], kind="stable")]
             a = duos[0::2]  # members adjacent per component, ascending
             b = duos[1::2]
-            np.bitwise_xor.at(out, ridx[a], self._pair_masks(cols[a], cols[b]))
+            np.bitwise_xor.at(out, ridx[a], self._obs[cols[a], cols[b]])
         big = np.flatnonzero(size_at >= 3)
         if big.size:
             self._solve_clusters_batch(big, roots, ridx, cols, db, out)
@@ -263,72 +252,20 @@ class MwpmDecoder(BatchDecoderMixin):
         ``pairs`` is the ``(clusters, slots, 2)`` output of a batched
         matcher: local index pairs with ``j = -1`` meaning the boundary
         and ``-2`` padding unused slots.  Boundary matches gather the
-        per-detector boundary masks (unmatchable detectors abstain, as
-        in the scalar path); pair matches gather the dense pair-mask
-        cache.  One XOR-scatter folds every contribution into its
+        graph's boundary masks (0 for unmatchable detectors, which
+        abstain as in the scalar path); pair matches gather its pair
+        masks.  One XOR-scatter folds every contribution into its
         cluster's mask.
         """
-        self._ensure_boundary_masks()
         masks = np.zeros(nodes_mat.shape[0], dtype=np.int64)
         cidx, sidx = np.nonzero(pairs[:, :, 0] != -2)
         ii = pairs[cidx, sidx, 0].astype(np.intp)
         jj = pairs[cidx, sidx, 1].astype(np.intp)
         u = nodes_mat[cidx, ii]
-        bnd = jj < 0
-        if bnd.any():
-            ub = u[bnd]
-            np.bitwise_xor.at(
-                masks, cidx[bnd],
-                np.where(self._bfinite[ub], self._bmasks[ub], 0),
-            )
-        paired = ~bnd
-        if paired.any():
-            v = nodes_mat[cidx[paired], jj[paired]]
-            np.bitwise_xor.at(
-                masks, cidx[paired], self._pair_masks(u[paired], v)
-            )
-        return masks
-
-    def _ensure_boundary_masks(self) -> None:
-        """Per-detector boundary-chain masks as gatherable arrays."""
-        if self._bmasks is not None:
-            return
-        graph = self.graph
-        boundary = graph.boundary
-        finite = np.isfinite(self._dist[:self.num_detectors, boundary])
-        masks = np.zeros(self.num_detectors, dtype=np.int64)
-        for u in np.flatnonzero(finite).tolist():
-            masks[u] = graph.path_observable_mask(u, boundary)
-        self._bmasks = masks
-        self._bfinite = finite
-
-    def _pair_masks(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Path-observable masks for defect pairs, vectorised.
-
-        Small graphs keep a dense ``(n, n)`` mask matrix filled lazily
-        (one memoised path walk per *new* pair, a fancy-indexed gather
-        for every recurring one); huge graphs skip the dense cache and
-        walk each pair through the graph's dict memo.
-        """
-        gpm = self.graph.path_observable_mask
-        if self._pair_mask is None:
-            if self.num_detectors > _PAIR_DENSE_LIMIT:
-                return np.fromiter(
-                    (gpm(int(u), int(v)) for u, v in zip(a, b)),
-                    dtype=np.int64, count=len(a),
-                )
-            n = self.num_detectors
-            self._pair_mask = np.zeros((n, n), dtype=np.int64)
-            self._pair_known = np.zeros((n, n), dtype=bool)
-        masks = self._pair_mask[a, b]
-        known = self._pair_known[a, b]
-        if not known.all():
-            for idx in np.flatnonzero(~known).tolist():
-                u, v = int(a[idx]), int(b[idx])
-                mask = gpm(u, v)
-                self._pair_mask[u, v] = self._pair_mask[v, u] = mask
-                self._pair_known[u, v] = self._pair_known[v, u] = True
-                masks[idx] = mask
+        v = np.where(
+            jj < 0, self.graph.boundary, nodes_mat[cidx, np.maximum(jj, 0)]
+        )
+        np.bitwise_xor.at(masks, cidx, self._obs[u, v])
         return masks
 
     # ------------------------------------------------------------------
@@ -338,28 +275,19 @@ class MwpmDecoder(BatchDecoderMixin):
         k = len(flagged)
         if k == 0:
             return 0
-        graph = self.graph
-        boundary = graph.boundary
+        boundary = self.graph.boundary
         dist = self._dist
+        obs = self._obs
         # Scalar fast paths: at the error rates worth sweeping most
         # non-empty syndromes flag one or two detectors, where the full
         # cluster machinery is pure overhead.
         if k == 1:
-            u = int(flagged[0])
-            if np.isfinite(dist[u, boundary]):
-                return graph.path_observable_mask(u, boundary)
-            return 0  # unmatchable, abstain
+            return int(obs[flagged[0], boundary])
         if k == 2:
-            a, b = int(flagged[0]), int(flagged[1])
-            d_a, d_b = dist[a, boundary], dist[b, boundary]
-            if dist[a, b] < d_a + d_b - 1e-12:
-                return graph.path_observable_mask(a, b)
-            mask = 0
-            if np.isfinite(d_a):
-                mask ^= graph.path_observable_mask(a, boundary)
-            if np.isfinite(d_b):
-                mask ^= graph.path_observable_mask(b, boundary)
-            return mask
+            a, b = flagged
+            if dist[a, b] < dist[a, boundary] + dist[b, boundary] - 1e-12:
+                return int(obs[a, b])
+            return int(obs[a, boundary] ^ obs[b, boundary])
         db = dist[flagged, boundary]
         dd = dist[np.ix_(flagged, flagged)]
 
@@ -371,9 +299,7 @@ class MwpmDecoder(BatchDecoderMixin):
         mask = 0
         for cluster in _components(useful):
             if len(cluster) == 1:
-                i = cluster[0]
-                if np.isfinite(db[i]):  # else: unmatchable, abstain
-                    mask ^= graph.path_observable_mask(int(flagged[i]), boundary)
+                mask ^= int(obs[flagged[cluster[0]], boundary])
                 continue
             nodes = tuple(int(flagged[i]) for i in cluster)
             mask ^= self._solve_cluster(
@@ -406,16 +332,11 @@ class MwpmDecoder(BatchDecoderMixin):
             pairs = _dp_match(db, dd)
         else:
             pairs = _blossom_match(db, dd)
-        graph = self.graph
-        boundary = graph.boundary
+        boundary = self.graph.boundary
         cluster_mask = 0
         for i, j in pairs:
-            u = nodes[i]
-            if j < 0:
-                if np.isfinite(db[i]):
-                    cluster_mask ^= graph.path_observable_mask(u, boundary)
-            else:
-                cluster_mask ^= graph.path_observable_mask(u, nodes[j])
+            v = boundary if j < 0 else nodes[j]
+            cluster_mask ^= int(self._obs[nodes[i], v])
         if len(self._cluster_masks) < _CLUSTER_MEMO_LIMIT:
             self._cluster_masks[nodes] = cluster_mask
         return cluster_mask

@@ -6,19 +6,21 @@ The uniform harness behind the paper's figure sweeps:
   (distance x capacity x topology x wiring x noise point x decoder)
   that expands into a deterministic job list (``sweep.py``);
 - :class:`CompilationCache` — content-addressed in-memory + on-disk
-  caching of DEM extraction, detector graphs, decoders and decoder-side
-  artefacts (bit-packed DEM samplers, MWPM all-pairs distance
-  matrices), so each unique circuit is compiled exactly once per sweep;
-  the disk layer is LRU-size-bounded via ``max_disk_mb`` (``cache.py``);
+  caching of DEM extraction and detector graphs, plus in-memory
+  decoders and bit-packed DEM samplers, so each unique circuit is
+  compiled exactly once per sweep (MWPM's all-pairs Dijkstra runs once
+  per detector graph, inside the graph); the disk layer holds the two
+  DEMs and is LRU-size-bounded via ``max_disk_mb`` (``cache.py``);
 - :class:`Runner` / :func:`run_sweep` with pluggable backends —
   :class:`SerialBackend`, and one worker pool with two ways in: a
   :class:`MultiprocessBackend` that forks local workers and a
   :class:`RemoteBackend` that dials ``repro-worker`` processes on
   other machines.  Every pool worker runs the same loop over one
-  socket; shots are sharded over independent ``SeedSequence`` streams
-  so failure counts merge bit-identically, and a dead worker's shards
-  are resubmitted to survivors (``runner.py``, ``pool.py``,
-  ``worker.py``, ``remote.py``);
+  socket and builds its own decoders from the primed DEMs; shots are
+  sharded over independent ``SeedSequence`` streams so failure counts
+  merge bit-identically, and a dead worker's shards are resubmitted
+  to survivors (``runner.py``, ``pool.py``, ``worker.py``,
+  ``remote.py``);
 - :func:`sample_circuit` — the same cache, shard plan and scheduler
   over one ad-hoc circuit, fixed-shot or adaptive; every
   :mod:`repro.ler` estimator samples through it (``runner.py``);

@@ -1,9 +1,9 @@
 """Content-addressed compilation cache for sweep execution.
 
-DEM extraction, detector-graph construction and decoder-side artefacts
-dominate the fixed cost of a Monte-Carlo point, and a sweep revisits
-the same circuit many times (one circuit per design point, shared by
-every decoder and every shot shard).  The cache keys compiled artefacts
+DEM extraction and detector-graph construction dominate the fixed
+cost of a Monte-Carlo point, and a sweep revisits the same circuit
+many times (one circuit per design point, shared by every decoder and
+every shot shard).  The cache keys compiled artefacts
 by a stable hash of the circuit *text* — the same serialisation that
 round-trips through :mod:`repro.sim.text_format` — so identical
 circuits hit regardless of how they were built.  Content addressing is
@@ -16,24 +16,28 @@ needs to be) part of the key.
 Two layers:
 
 - in-memory: ``circuit key -> CompiledCircuit`` (DEM + detector graph),
-  plus memoised decoder instances per (circuit, decoder name), the
-  bit-packed :class:`~repro.sim.dem_sampler.DemSampler` per circuit,
-  and the MWPM all-pairs ``(dist, pred)`` matrices per circuit;
+  plus memoised decoder instances per (circuit, decoder name) and the
+  bit-packed :class:`~repro.sim.dem_sampler.DemSampler` per circuit;
 - on-disk (optional ``cache_dir``): both merged DEMs as JSON — the
   graphlike decoder-side model (``.dem.json``) and the exact
-  sampler-side model (``.sdem.json``) — plus the distance matrices as
-  ``.npz``, so a fresh process — a resumed run, or a multiprocessing
-  worker pool — skips DEM extraction *and* the all-pairs Dijkstra
-  entirely.
+  sampler-side model (``.sdem.json``) — so a fresh process (a resumed
+  run) skips DEM extraction entirely.
+
+MWPM's all-pairs shortest paths are not cached here: the detector
+graph computes them once, on first use
+(:meth:`~repro.decoders.graph.DetectorGraph.shortest_paths`), and
+every decoder built on the graph shares them.  Distance-matrix
+``.npz`` files that older versions wrote into a cache directory are
+neither read nor evicted; they can be deleted.
 
 The on-disk layer can be size-bounded (``max_disk_mb``): after every
 write the least-recently-used entries are evicted until the directory
 fits, and reads refresh an entry's recency, so a long-lived shared
 cache keeps the circuits that sweeps actually revisit.
 
-Counters (``hits`` / ``misses`` / ``disk_hits`` / ``dmat_disk_hits`` /
-``evictions``) are exposed so tests can assert each unique circuit is
-compiled exactly once per sweep.
+Counters (``hits`` / ``misses`` / ``disk_hits`` / ``evictions``) are
+exposed so tests can assert each unique circuit is compiled exactly
+once per sweep.
 """
 
 from __future__ import annotations
@@ -43,8 +47,6 @@ import json
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..decoders import make_decoder
 from ..decoders.graph import DetectorGraph
 from ..sim.circuit import StabilizerCircuit
@@ -53,9 +55,8 @@ from ..sim.dem_sampler import DemSampler
 from ..telemetry import span
 
 # Disk-cache entry suffixes, in eviction scope: the graphlike
-# (decoder-side) DEM, the exact (sampler-side) DEM, and the MWPM
-# all-pairs distance matrices.
-_DISK_SUFFIXES = (".dem.json", ".sdem.json", ".dmat.npz")
+# (decoder-side) DEM and the exact (sampler-side) DEM.
+_DISK_SUFFIXES = (".dem.json", ".sdem.json")
 
 
 def circuit_key(text: str) -> str:
@@ -112,8 +113,8 @@ class CompiledCircuit:
 
 @dataclass
 class CompilationCache:
-    """In-memory + on-disk cache of DEMs, graphs, decoders and
-    decoder-side artefacts (DEM samplers, MWPM distance matrices)."""
+    """In-memory + on-disk cache of DEMs and graphs, plus in-memory
+    decoders and DEM samplers."""
 
     cache_dir: str | None = None
     # On-disk size bound in megabytes (None = unbounded).  Enforced by
@@ -123,15 +124,11 @@ class CompilationCache:
     hits: int = 0
     misses: int = 0
     disk_hits: int = 0
-    dmat_disk_hits: int = 0
     evictions: int = 0
 
     _compiled: dict[str, CompiledCircuit] = field(default_factory=dict, repr=False)
     _decoders: dict[tuple[str, str], object] = field(default_factory=dict, repr=False)
     _samplers: dict[str, DemSampler] = field(default_factory=dict, repr=False)
-    _dmats: dict[str, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False
-    )
 
     def __post_init__(self):
         if self.max_disk_mb is not None and self.max_disk_mb <= 0:
@@ -174,10 +171,6 @@ class CompilationCache:
         memo_key = (compiled.key, name)
         dec = self._decoders.get(memo_key)
         if dec is None:
-            if name == "mwpm":
-                # Prime the graph with the cached all-pairs matrices so
-                # decoder construction never recomputes the Dijkstra.
-                self.distance_matrix(compiled)
             dec = make_decoder(compiled.graph, name)
             self._decoders[memo_key] = dec
         return dec
@@ -194,34 +187,6 @@ class CompilationCache:
             self._samplers[compiled.key] = sampler
         return sampler
 
-    def distance_matrix(
-        self, compiled: CompiledCircuit
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The MWPM ``(dist, pred)`` all-pairs matrices for ``compiled``.
-
-        Memory, then disk, then one Dijkstra — and the result is
-        injected into the compiled detector graph, so every decoder
-        built on it shares the same arrays.
-        """
-        entry = self._dmats.get(compiled.key)
-        if entry is None:
-            entry = self._load_dmat(compiled.key, compiled.graph.num_nodes)
-            if entry is not None:
-                self.dmat_disk_hits += 1
-                compiled.graph.set_shortest_paths(*entry)
-            else:
-                with span("dijkstra"):
-                    entry = compiled.graph.shortest_paths()
-                self._store_dmat(compiled.key, *entry)
-            self._dmats[compiled.key] = entry
-        return entry
-
-    def peek_distance_matrix(
-        self, key: str
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Already-materialised matrices for ``key``, without computing."""
-        return self._dmats.get(key)
-
     # ------------------------------------------------------------------
     @property
     def unique_circuits(self) -> int:
@@ -232,7 +197,6 @@ class CompilationCache:
             "hits": self.hits,
             "misses": self.misses,
             "disk_hits": self.disk_hits,
-            "dmat_disk_hits": self.dmat_disk_hits,
             "evictions": self.evictions,
             "unique_circuits": self.unique_circuits,
         }
@@ -270,34 +234,6 @@ class CompilationCache:
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w") as fh:
             json.dump(dem_to_jsonable(dem), fh)
-        os.replace(tmp, path)
-        self._evict()
-
-    def _load_dmat(
-        self, key: str, num_nodes: int
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        path = self._entry_path(key, ".dmat.npz")
-        if path is None or not os.path.exists(path):
-            return None
-        try:
-            with np.load(path) as payload:
-                dist = payload["dist"]
-                pred = payload["pred"]
-        except (OSError, ValueError, KeyError):
-            return None  # corrupt entry: fall through to recomputation
-        shape = (num_nodes, num_nodes)
-        if dist.shape != shape or pred.shape != shape:
-            return None  # stale/inconsistent entry: recompute
-        self._touch(path)
-        return dist, pred
-
-    def _store_dmat(self, key: str, dist: np.ndarray, pred: np.ndarray) -> None:
-        path = self._entry_path(key, ".dmat.npz")
-        if path is None:
-            return
-        tmp = f"{path}.tmp.{os.getpid()}.npz"
-        with open(tmp, "wb") as fh:
-            np.savez(fh, dist=dist, pred=pred)
         os.replace(tmp, path)
         self._evict()
 

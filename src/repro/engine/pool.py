@@ -89,15 +89,16 @@ class WorkerPoolBackend:
 
     Dispatches the messages of
     :func:`~repro.engine.worker.handle_worker_message` — ``prime`` (at
-    most once per (worker, circuit): both DEM payloads and the MWPM
-    distance matrices), late ``dmat`` delivery, ``config`` (only
-    when telemetry is on), tiny payload-free ``shard`` tuples, ``stop``
-    — and reads their fixed-shape replies.  It owns the bookkeeping:
-    priming state, per-worker load, the seq -> worker dispatch map,
-    abandoned-sweep epochs, and **crash recovery** — a worker whose
-    socket breaks is disowned, and its in-flight shards join a lost
-    list that the scheduler reaps via ``take_lost()`` and resubmits to
-    survivors with their original seeds.
+    most once per (worker, circuit): both DEM payloads), ``config``
+    (only when telemetry is on), tiny payload-free ``shard`` tuples,
+    ``stop`` — and reads their fixed-shape replies.  Workers build
+    their own decoders, MWPM's all-pairs Dijkstra included, so the
+    driver computes no decoder artefact for a pool sweep.  It owns the
+    bookkeeping: priming state, per-worker load, the seq -> worker
+    dispatch map, abandoned-sweep epochs, and **crash recovery** — a
+    worker whose socket breaks is disowned, and its in-flight shards
+    join a lost list that the scheduler reaps via ``take_lost()`` and
+    resubmits to survivors with their original seeds.
 
     The driver is a single selector event loop: sends are queued per
     connection and flushed as sockets turn writable, reads are
@@ -134,9 +135,6 @@ class WorkerPoolBackend:
     def _init_pool(self) -> None:
         self._load: list[int] = []
         self._primed: set[tuple[int, str]] = set()
-        # (worker, circuit) pairs whose prime included the MWPM
-        # distance matrices (or received them in a late "dmat" send).
-        self._dmat_primed: set[tuple[int, str]] = set()
         self._dem_json: dict[str, tuple] = {}
         # task seq -> (worker index, job key, shots, dispatch time)
         self._dispatch: dict[int, tuple[int, str, int, float]] = {}
@@ -280,7 +278,7 @@ class WorkerPoolBackend:
             worker = self._pick_worker(task.circuit_key, live)
             try:
                 self._maybe_configure(worker)
-                self._dispatch_shard(worker, task, compiled, cache, live)
+                self._dispatch_shard(worker, task, compiled, live)
             except _WorkerDied:
                 continue  # _send disowned the worker; try a survivor
             self._load[worker] += 1
@@ -299,7 +297,7 @@ class WorkerPoolBackend:
         if active_telemetry().enabled:
             self._send(worker, ("config", {"telemetry": True}))
 
-    def _dispatch_shard(self, worker, task, compiled, cache, live) -> None:
+    def _dispatch_shard(self, worker, task, compiled, live) -> None:
         pair = (worker, task.circuit_key)
         if pair not in self._primed:
             payload = self._dem_json.get(task.circuit_key)
@@ -310,36 +308,16 @@ class WorkerPoolBackend:
                 )
                 self._dem_json[task.circuit_key] = payload
             dem_data, sdem_data = payload
-            # MWPM needs the all-pairs distance matrices; computing (or
-            # disk-loading) them once in the parent and shipping them
-            # in the prime saves one Dijkstra per (worker, circuit).
-            if task.decoder == "mwpm":
-                dmat = cache.distance_matrix(compiled)
-            else:
-                dmat = cache.peek_distance_matrix(task.circuit_key)
             self._send(
                 worker,
-                ("prime", task.circuit_key, dem_data, sdem_data, dmat,
-                 self._epoch),
+                ("prime", task.circuit_key, dem_data, sdem_data, self._epoch),
             )
             self._primed.add(pair)
-            if dmat is not None:
-                self._dmat_primed.add(pair)
             if all((w, task.circuit_key) in self._primed for w in live):
                 # Every live worker holds this circuit now; the
                 # serialized DEM can never be sent again, so stop
                 # retaining it.
                 self._dem_json.pop(task.circuit_key, None)
-        elif task.decoder == "mwpm" and pair not in self._dmat_primed:
-            # The circuit was primed by a non-MWPM shard, without the
-            # distance matrices; deliver them before the MWPM shard so
-            # the worker never recomputes the Dijkstra.
-            self._send(
-                worker,
-                ("dmat", task.circuit_key, cache.distance_matrix(compiled),
-                 self._epoch),
-            )
-            self._dmat_primed.add(pair)
         self._send(
             worker,
             ("shard", task.seq, task.circuit_key, task.decoder, task.shots,
@@ -479,9 +457,6 @@ class WorkerPoolBackend:
             self._load[worker] = 0
         self._configured.discard(worker)
         self._primed = {pair for pair in self._primed if pair[0] != worker}
-        self._dmat_primed = {
-            pair for pair in self._dmat_primed if pair[0] != worker
-        }
 
     def take_lost(self) -> list[int]:
         """Drain the seqs of shards lost to dead workers (scheduler

@@ -13,7 +13,9 @@ Monte-Carlo sampling through the cross-job shard scheduler
   processes on other machines.  Both are one worker pool
   (:mod:`repro.engine.pool`): every worker runs the same loop
   (:mod:`repro.engine.worker`) over one socket, is primed at most once
-  per unique circuit (both DEM payloads, MWPM distance matrices), and
+  per unique circuit (both DEM payloads), builds its own decoders (an
+  MWPM worker runs its own Dijkstra inside its first shard's elapsed
+  time, so a pool sweep's driver-side ``dijkstra`` phase reads 0), and
   afterwards receives only ``(circuit key, decoder, shots, seed)``
   shard messages.  A dead worker does not
   kill the sweep: its in-flight shards are disowned into a lost list
@@ -429,7 +431,9 @@ class Runner:
         outcome, plus the driver-side phases (compile / dem / dijkstra)
         from the registry — disjoint sets, so no double counting even
         on the serial backend (whose in-process shard spans also land
-        in the registry)."""
+        in the registry).  Only the serial backend builds decoders on
+        the driver, so only it reports a ``dijkstra`` phase; pool
+        workers pay theirs inside shard elapsed time."""
         phases = dict(self._phase_totals)
         if self.telemetry.enabled:
             driver_side = self.telemetry.phase_totals()

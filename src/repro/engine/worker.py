@@ -34,16 +34,16 @@ from .cache import dem_from_jsonable
 
 # A worker opens every session with ``("hello", PROTOCOL_VERSION)``;
 # the driver then sends the messages of :func:`handle_worker_message`
-# (prime, dmat, config, shard, stop) and reads its fixed-shape
-# replies.  Driver and worker ship in one package, so there is exactly
-# one message format: a driver refuses a worker whose hello names any
+# (prime, config, shard, stop) and reads its fixed-shape replies.
+# Driver and worker ship in one package, so there is exactly one
+# message format: a driver refuses a worker whose hello names any
 # other version (bump the number whenever a message shape, or what a
 # worker builds from a payload, changes).
-PROTOCOL_VERSION = 8
+PROTOCOL_VERSION = 9
 _HEADER = struct.Struct(">I")
-# A frame is bounded by the largest prime payload (two DEM JSONs plus
-# the all-pairs distance matrices) — far below this, but cap it so a
-# corrupt/hostile header cannot trigger a giant allocation.
+# A frame is bounded by the largest prime payload (two DEM JSONs) —
+# far below this, but cap it so a corrupt/hostile header cannot
+# trigger a giant allocation.
 _MAX_FRAME = 1 << 31
 
 
@@ -144,6 +144,12 @@ class ShardExecutor:
     graph.  Every worker process runs one shard at a time, so each
     (circuit, decoder) pair has exactly one decoder, which owns its
     syndrome memo; the memo never leaves the worker.
+
+    An MWPM decoder runs the graph's all-pairs Dijkstra when it is
+    built, so each worker pays it once per circuit inside its first
+    MWPM shard's elapsed time (outside that shard's phases); the
+    driver computes none, and a pool sweep's driver-side ``dijkstra``
+    phase reads 0.
     """
 
     def __init__(self):
@@ -152,24 +158,10 @@ class ShardExecutor:
         # (circuit_key, decoder_name) -> decoder instance (and its memo).
         self._decoders: dict[tuple[str, str], object] = {}
 
-    def prime(self, circuit_key, dem_data, sdem_data, dmat) -> None:
+    def prime(self, circuit_key, dem_data, sdem_data) -> None:
         graph = DetectorGraph.from_dem(dem_from_jsonable(dem_data))
-        if dmat is not None:
-            # Parent-cached all-pairs matrices: this worker's MWPM
-            # decoder skips its own Dijkstra.
-            graph.set_shortest_paths(*dmat)
         sampler = DemSampler(dem_from_jsonable(sdem_data))
         self._circuits[circuit_key] = (graph, sampler)
-
-    def set_dmat(self, circuit_key, dmat) -> None:
-        # Late distance-matrix delivery: the circuit was primed by a
-        # non-MWPM shard, and an MWPM shard is now on its way.
-        entry = self._circuits.get(circuit_key)
-        if entry is not None and (circuit_key, "mwpm") not in self._decoders:
-            try:
-                entry[0].set_shortest_paths(*dmat)
-            except ValueError:
-                pass  # shape mismatch: let the decoder compute its own
 
     def run(
         self, circuit_key, decoder_name, shots, seed,
@@ -197,15 +189,14 @@ class ShardExecutor:
 def handle_worker_message(executor: ShardExecutor, message: tuple):
     """Process one driver message; returns the reply tuple or ``None``.
 
-    The worker's request/reply state machine: ``prime`` / ``dmat``
-    update the executor (priming errors are reported with
-    ``seq=None``), ``config`` applies worker-side settings (today only
-    the telemetry switch), ``shard`` samples and replies; ``stop`` is
-    the caller's business.
+    The worker's request/reply state machine: ``prime`` updates the
+    executor (priming errors are reported with ``seq=None``),
+    ``config`` applies worker-side settings (today only the telemetry
+    switch), ``shard`` samples and replies; ``stop`` is the caller's
+    business.
 
     A prime message is ``("prime", circuit_key, dem, sampling_dem,
-    dmat, epoch)``: both DEMs as JSON-able payloads, and the MWPM
-    all-pairs distance matrices or ``None``.  A shard message is
+    epoch)``: both DEMs as JSON-able payloads.  A shard message is
     always ``("shard", seq, circuit_key, decoder, shots, seed, epoch,
     offset, parent_shots)``;
     ``parent_shots`` is ``None`` for a whole planned shard and set for
@@ -218,16 +209,12 @@ def handle_worker_message(executor: ShardExecutor, message: tuple):
     """
     kind = message[0]
     if kind == "prime":
-        _, circuit_key, dem_data, sdem_data, dmat, epoch = message
+        _, circuit_key, dem_data, sdem_data, epoch = message
         try:
-            executor.prime(circuit_key, dem_data, sdem_data, dmat)
+            executor.prime(circuit_key, dem_data, sdem_data)
         except BaseException:
             return ("error", None, traceback.format_exc(), 0.0, epoch,
                     None, None)
-        return None
-    if kind == "dmat":
-        _, circuit_key, dmat, epoch = message
-        executor.set_dmat(circuit_key, dmat)
         return None
     if kind == "config":
         # Driver-controlled worker settings.  Settings are per-driver
@@ -306,7 +293,7 @@ def _recv_frame(sock: socket.socket):
 
 def _serve_connection(conn: socket.socket,
                       chaos_shard_delay: float = 0.0) -> None:
-    """One driver session: hello, then prime/dmat/shard until stop/EOF.
+    """One driver session: hello, then prime/config/shard until stop/EOF.
 
     Executor state is per-connection — a new driver always reprimes,
     so stale circuits can never leak between sweeps.

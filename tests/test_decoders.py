@@ -42,6 +42,41 @@ def _line_graph(n=4, p=0.05):
     return DetectorGraph.from_dem(dem)
 
 
+def _scipy_paths(graph):
+    """scipy's all-pairs ``(dist, pred)`` over ``graph``'s edges."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    n = graph.num_nodes
+    mat = coo_matrix((
+        [e.weight for e in graph.edges],
+        ([e.u for e in graph.edges], [e.v for e in graph.edges]),
+    ), shape=(n, n))
+    return dijkstra(mat, directed=False, return_predecessors=True)
+
+
+def _assert_masks_match_walk(graph) -> int:
+    """``obs[u, v]`` must be the observable mask of the shortest path
+    in scipy's tree rooted at ``min(u, v)``, walked edge by edge, and 0
+    for unreachable pairs.  Returns the number of reachable pairs."""
+    dist, obs = graph.shortest_paths()
+    ref_dist, pred = _scipy_paths(graph)
+    assert np.array_equal(dist, ref_dist)
+    edge_obs = {frozenset((e.u, e.v)): e.observables for e in graph.edges}
+    reachable = 0
+    for u in range(graph.num_nodes):
+        for v in range(u + 1, graph.num_nodes):
+            mask, node = 0, v
+            if np.isfinite(ref_dist[u, v]):
+                reachable += 1
+                while node != u:
+                    prev = int(pred[u, node])
+                    mask ^= edge_obs[frozenset((prev, node))]
+                    node = prev
+            assert obs[u, v] == obs[v, u] == mask
+    return reachable
+
+
 class TestDetectorGraph:
     def test_weights_are_llr(self):
         graph = _line_graph(p=0.05)
@@ -74,7 +109,42 @@ class TestDetectorGraph:
         assert graph.distance(1, 2) == pytest.approx(w)
         assert graph.distance(0, graph.boundary) == pytest.approx(w)
         # Path 1 -> left boundary crosses the logical edge.
-        assert graph.path_observable_mask(1, graph.boundary) in (0, 1)
+        _, obs = graph.shortest_paths()
+        assert obs[1, graph.boundary] in (0, 1)
+
+    @pytest.mark.parametrize("distance, topology", [
+        (3, "grid"), (3, "linear"), (3, "switch"), (5, "grid"),
+    ])
+    def test_path_masks_match_a_predecessor_walk(self, distance, topology):
+        from repro.engine import CompilationCache, SweepSpec
+        from repro.engine.runner import compile_design_point
+        from repro.noise.parameters import DEFAULT_NOISE
+
+        [job] = SweepSpec(
+            distances=(distance,), topologies=(topology,)
+        ).expand()
+        art = compile_design_point(job, DEFAULT_NOISE, need_circuit=True)
+        graph = CompilationCache().compiled(art.circuit, art.text).graph
+        _, obs = graph.shortest_paths()
+        reachable = _assert_masks_match_walk(graph)
+        # The other basis's detectors are unreachable: a memory
+        # experiment's graph holds only the observable's basis.
+        n = graph.num_nodes
+        assert 0 < reachable < n * (n - 1) // 2
+        assert obs.any()  # some paths cross the logical observable
+
+    def test_tied_pair_reads_the_smaller_roots_tree(self):
+        # Hexagon 0-2-4-1-3-5-0 of equal weights: 0 and 1 are joined by
+        # two shortest paths, only one crossing the observable, and the
+        # trees rooted at 0 and at 1 take different ones.
+        dem = DetectorErrorModel(6, 1)
+        for a, b in ((0, 2), (2, 4), (4, 1), (1, 3), (3, 5), (5, 0)):
+            obs = (0,) if (a, b) == (2, 4) else ()
+            dem.errors.append(DemError((a, b), obs, 0.1))
+        graph = DetectorGraph.from_dem(dem)
+        _assert_masks_match_walk(graph)
+        _, pred = _scipy_paths(graph)
+        assert {int(pred[0, 1]), int(pred[1, 0])} == {4, 5}  # tie is real
 
     def test_floor_probability(self):
         dem = DetectorErrorModel(1, 1)

@@ -205,9 +205,9 @@ class TestCompilationCache:
         first = CompilationCache(cache_dir=str(tmp_path))
         run_sweep(spec, cache=first, shard_shots=SHARD)
         assert first.misses == 1
-        # Decoder-side DEM, sampler-side DEM, MWPM distance matrices.
+        # Decoder-side DEM, sampler-side DEM.
         assert sorted(n.split(".", 1)[1] for n in os.listdir(tmp_path)) == [
-            "dem.json", "dmat.npz", "sdem.json",
+            "dem.json", "sdem.json",
         ]
         fresh = CompilationCache(cache_dir=str(tmp_path))
         results = run_sweep(spec, cache=fresh, shard_shots=SHARD)
@@ -1099,65 +1099,14 @@ class TestSamplerSelection:
         assert [r.failures for r in serial] == [r.failures for r in sharded]
 
 
-class TestDistanceMatrixCache:
-    def test_disk_round_trip_gives_identical_corrections(self, tmp_path):
-        # Artefact contract: dist/pred written by one cache, loaded by
-        # a fresh one (a resumed run / new process), decoding every
-        # syndrome identically — and without redoing the Dijkstra.
-        spec = small_spec(distances=(2,))
-        warm = CompilationCache(cache_dir=str(tmp_path))
-        [first] = run_sweep(spec, cache=warm, shard_shots=SHARD)
-        assert any(n.endswith(".dmat.npz") for n in os.listdir(tmp_path))
-        assert warm.dmat_disk_hits == 0
-        fresh = CompilationCache(cache_dir=str(tmp_path))
-        [second] = run_sweep(spec, cache=fresh, shard_shots=SHARD)
-        assert fresh.dmat_disk_hits == 1
-        assert second.failures == first.failures
-
-    def test_corrupt_dmat_recomputes(self, tmp_path):
-        spec = small_spec(distances=(2,))
-        run_sweep(spec, cache=CompilationCache(str(tmp_path)), shard_shots=SHARD)
-        [entry] = [n for n in os.listdir(tmp_path) if n.endswith(".dmat.npz")]
-        (tmp_path / entry).write_bytes(b"not an npz")
-        cache = CompilationCache(str(tmp_path))
-        [result] = run_sweep(spec, cache=cache, shard_shots=SHARD)
-        assert cache.dmat_disk_hits == 0
-        assert result.failures is not None
-
-    def test_workers_receive_parent_distance_matrices(self):
-        # The prime payload ships (dist, pred) for MWPM jobs so each
-        # worker skips its own all-pairs Dijkstra.
-        import numpy as np
-
-        class PrimeAudit(CountingBackend):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.prime_dmats = []
-
-            def _send(self, worker, message):
-                if message[0] == "prime":
-                    # ("prime", key, dem, sdem, dmat, epoch)
-                    self.prime_dmats.append(message[4])
-                super()._send(worker, message)
-
-        spec = small_spec(distances=(2,))
-        with PrimeAudit(max_workers=2) as backend:
-            run_sweep(spec, backend=backend, shard_shots=64)
-        assert backend.prime_dmats
-        for dmat in backend.prime_dmats:
-            assert dmat is not None
-            dist, pred = dmat
-            assert isinstance(dist, np.ndarray) and dist.ndim == 2
-
-
 class TestDiskCacheEviction:
     def test_size_bound_evicts_lru(self, tmp_path):
         cache = CompilationCache(cache_dir=str(tmp_path))
         spec = small_spec(distances=(2, 3))
         run_sweep(spec, cache=cache, shard_shots=SHARD)
         paths = sorted(tmp_path.iterdir())
-        # 2 circuits x (dem.json + sdem.json + dmat.npz)
-        assert len(paths) == 6
+        # 2 circuits x (dem.json + sdem.json)
+        assert len(paths) == 4
         total_mb = sum(p.stat().st_size for p in paths) / 1e6
         # Refresh recency so the d=3 entries are the newest, then make
         # a bounded cache re-store something: the oldest (d=2) entries
@@ -1192,7 +1141,7 @@ class TestDiskCacheEviction:
         cache = CompilationCache(cache_dir=str(tmp_path))
         run_sweep(small_spec(distances=(2, 3)), cache=cache, shard_shots=SHARD)
         assert cache.evictions == 0
-        assert len(list(tmp_path.iterdir())) == 6
+        assert len(list(tmp_path.iterdir())) == 4
 
     def test_read_refreshes_recency(self, tmp_path):
         spec = small_spec(distances=(2,))
@@ -1209,33 +1158,17 @@ class TestDiskCacheEviction:
         with pytest.raises(ValueError):
             CompilationCache(max_disk_mb=0)
 
-    def test_late_dmat_delivery_for_mixed_decoder_sweeps(self):
-        # A union_find shard can prime a (worker, circuit) pair before
-        # any MWPM shard reaches it; the matrices must then arrive in a
-        # late "dmat" message, not be silently dropped.
-        class Audit(CountingBackend):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.prime_dmats = []
-                self.dmat_messages = []
-
-            def _send(self, worker, message):
-                if message[0] == "prime":
-                    self.prime_dmats.append((worker, message[4]))
-                elif message[0] == "dmat":
-                    self.dmat_messages.append((worker, message[1]))
-                super()._send(worker, message)
-
+    def test_mixed_decoder_pool_sweep_matches_serial(self):
+        # A union_find shard primes a (worker, circuit) pair before any
+        # MWPM shard reaches it; the worker's MWPM decoder then builds
+        # its shortest paths from the primed graph, decoding exactly as
+        # the serial backend does.
         spec = small_spec(distances=(2,), decoders=("union_find", "mwpm"))
-        with Audit(max_workers=2) as backend:
-            results = run_sweep(spec, backend=backend, shard_shots=64)
-        assert len(results) == 2
-        # Every worker primed without matrices got exactly one late
-        # delivery; nobody got a duplicate.
-        primed_without = {(w, "d") for w, d in backend.prime_dmats if d is None}
-        assert len(backend.dmat_messages) == len(set(backend.dmat_messages))
-        if primed_without:
-            assert backend.dmat_messages
+        serial = run_sweep(spec, shard_shots=64)
+        with CountingBackend(max_workers=2) as backend:
+            pooled = run_sweep(spec, backend=backend, shard_shots=64)
+        assert len(pooled) == 2
+        assert [r.failures for r in pooled] == [r.failures for r in serial]
 
 
 class TestCompileDesignPoint:

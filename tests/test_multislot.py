@@ -136,7 +136,7 @@ class TestWorkerMessages:
         spec, job, compiled, _decoder, _sampler = compiled_point
         executor = ShardExecutor()
         prime = ("prime", "ckt", dem_to_jsonable(compiled.dem),
-                 dem_to_jsonable(compiled.sampling_dem), None, 0)
+                 dem_to_jsonable(compiled.sampling_dem), 0)
         assert handle_worker_message(executor, prime) is None
         [shard] = plan_shards(SHARD, SHARD, spec.master_seed, job.key)
 

@@ -69,7 +69,7 @@ def point():
     art = compile_design_point(job, DEFAULT_NOISE, need_circuit=True)
     compiled = CompilationCache().compiled(art.circuit, art.text)
     prime = ("prime", "ckt", dem_to_jsonable(compiled.dem),
-             dem_to_jsonable(compiled.sampling_dem), None, 0)
+             dem_to_jsonable(compiled.sampling_dem), 0)
     [shard] = plan_shards(SHARD, SHARD, spec.master_seed, job.key)
 
     def shard_message(seq):
@@ -206,7 +206,7 @@ class TestHandler:
         assert not telemetry.get().enabled
 
     def test_prime_error_reply_has_fixed_shape(self):
-        bad = ("prime", "ckt", {"not": "a dem"}, None, None, 4)
+        bad = ("prime", "ckt", {"not": "a dem"}, None, 4)
         reply = handle_worker_message(ShardExecutor(), bad)
         assert len(reply) == 7
         assert reply[:2] == ("error", None)
@@ -254,7 +254,7 @@ class TestDriver:
         backend = StubPoolBackend(workers=2)
         [result] = run_sweep(small_spec(), backend=backend, shard_shots=SHARD)
         kinds = {message[0] for _, message in backend.sent}
-        assert kinds <= {"prime", "dmat", "config", "shard"}
+        assert kinds <= {"prime", "config", "shard"}
         shards = [m for _, m in backend.sent if m[0] == "shard"]
         assert len(shards) == SHOTS // SHARD
         # Whole planned shards: offset 0, no parent draw.
