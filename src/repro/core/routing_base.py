@@ -155,9 +155,13 @@ class RoutingStrategy:
         self._gate_first = [g.qubits[0] for g in gates]
         self._gate_last = [g.qubits[-1] for g in gates]
         self._sequenced: set[int] = set()
-        # Per-qubit pending gates in priority order (for prefetch routing).
+        # Per-qubit pending gates in priority order (for prefetch
+        # routing), and each gate's rank in that order, by gate id:
+        # priorities are unique, so sorting by rank sorts by priority.
         self._qubit_gates: dict[int, list[int]] = defaultdict(list)
-        for g in sorted(gates, key=lambda g: g.priority):
+        self._rank = [0] * len(gates)
+        for rank, g in enumerate(sorted(gates, key=lambda g: g.priority)):
+            self._rank[g.id] = rank
             for q in g.qubits:
                 self._qubit_gates[q].append(g.id)
         self._qubit_cursor: dict[int, int] = defaultdict(int)
@@ -297,7 +301,7 @@ class RoutingStrategy:
             ]
             if not runnable:
                 return emitted
-            for gid in sorted(runnable, key=lambda g: self.gates[g].priority):
+            for gid in sorted(runnable, key=self._rank.__getitem__):
                 gate = self.gates[gid]
                 trap = self.location[gate.qubits[0]]
                 self._emit(
@@ -315,11 +319,12 @@ class RoutingStrategy:
         location = self.location
         first, last = self._gate_first, self._gate_last
         blocked = [
-            self.gates[gid]
+            gid
             for gid in self._ready
             if location[first[gid]] != location[last[gid]]
         ]
-        return sorted(blocked, key=lambda g: g.priority)
+        blocked.sort(key=self._rank.__getitem__)
+        return [self.gates[gid] for gid in blocked]
 
     def _mover_and_destination(self, gate: LogicalGate) -> tuple[int, int]:
         """The ancilla moves to the data qubit's trap (Sec. 4.3)."""
@@ -388,7 +393,7 @@ class RoutingStrategy:
 
         return max(chain, key=score)
 
-    def _restoration_path(self, ion: int, alloc: dict[int, int]) -> list[int] | None:
+    def _restoration_path(self, ion: int, alloc: list[int]) -> list[int] | None:
         src = self.location[ion]
         capacity = self.device.trap_capacity
         # Best: prefetch towards the next gate's partner trap.
@@ -461,8 +466,9 @@ class RoutingStrategy:
     # ------------------------------------------------------------------
     # Pathfinding
     # ------------------------------------------------------------------
-    def _occupancy(self) -> dict[int, int]:
-        alloc = {c.id: 0 for c in self.device.components}
+    def _occupancy(self) -> list[int]:
+        """Ions held by each component, indexed by component id."""
+        alloc = [0] * len(self._step)
         for trap_id, chain in self.chains.items():
             alloc[trap_id] = len(chain)
         return alloc
@@ -475,7 +481,7 @@ class RoutingStrategy:
         return self._static_step[comp_id] + occupants * self.times.swap
 
     def _find_path(
-        self, src: int, dst: int, alloc: dict[int, int]
+        self, src: int, dst: int, alloc: list[int]
     ) -> list[int] | None:
         """Shortest admissible path, unless waiting a pass is cheaper.
 
@@ -536,7 +542,7 @@ class RoutingStrategy:
     def _dijkstra(
         self,
         src: int,
-        alloc: dict[int, int],
+        alloc: list[int],
         accept=None,
         *,
         dst: int | None = None,
@@ -579,17 +585,15 @@ class RoutingStrategy:
         else:
             dst_step = step[dst]
         dist = [_INF] * len(step)
-        visited = [False] * len(step)
         prev: dict[int, int] = {}
         dist[src] = self.times.split
         heap = [(self.times.split, src)]
         while heap:
             d, node = heappop(heap)
-            if visited[node]:
-                continue
+            if d > dist[node]:
+                continue  # stale: the node was popped at dist[node]
             if d + dst_step > bound:
                 return None
-            visited[node] = True
             if (
                 accept is not None
                 and node != src
@@ -598,7 +602,7 @@ class RoutingStrategy:
             ):
                 return _trace(prev, src, node)
             for nxt in neighbors[node]:
-                if visited[nxt] or alloc[nxt] >= capacity[nxt]:
+                if alloc[nxt] >= capacity[nxt]:
                     continue
                 nd = d + step[nxt]
                 if nd < dist[nxt]:
@@ -724,9 +728,7 @@ class RoutingStrategy:
             # route (linear devices: a full trap in the corridor blocks
             # every path; evicting from the destination cannot help).
             corridor = self._dijkstra(
-                self.location[mover],
-                {c.id: 0 for c in self.device.components},
-                dst=dest,
+                self.location[mover], [0] * len(self._step), dst=dest
             )
             if corridor is not None:
                 for node in corridor[1:-1]:
@@ -735,7 +737,7 @@ class RoutingStrategy:
                             return True
         return False
 
-    def _evict_one(self, trap_id: int, keep: set[int], alloc: dict[int, int]) -> bool:
+    def _evict_one(self, trap_id: int, keep: set[int], alloc: list[int]) -> bool:
         """Move one bystander ion out of ``trap_id`` to any free slot."""
         capacity = self.device.trap_capacity
         for victim in list(self.chains[trap_id]):

@@ -36,11 +36,13 @@ def critical_path_lengths(ops: list[QccdOp]) -> list[float]:
 def schedule_asap(ops: list[QccdOp]) -> list[float]:
     """Start times from pure dependency-driven ASAP scheduling."""
     start = [0.0] * len(ops)
+    end = [0.0] * len(ops)
     for op in ops:  # ops are emitted in topological order
         ready = 0.0
         for dep in op.deps:
-            ready = max(ready, start[dep] + ops[dep].duration)
+            ready = max(ready, end[dep])
         start[op.id] = ready
+        end[op.id] = ready + op.duration
     return start
 
 

@@ -5,6 +5,16 @@ edges: an error flipping two detectors joins them, an error flipping one
 detector joins it to the virtual *boundary* node.  Edge weights are
 log-likelihood ratios ``log((1-p)/p)`` so that minimum-weight matching
 corresponds to maximum-likelihood (independent-errors) decoding.
+
+The all-pairs search behind :meth:`DetectorGraph.shortest_paths` is
+scipy's sparse Dijkstra, and :func:`load_dijkstra` is the one place
+that imports it.  Importing ``scipy.sparse`` costs about a quarter of
+a second and 24 MB, which a compile-only process never needs, so the
+import is deferred until a process is about to decode.  Processes that
+will sample call :func:`load_dijkstra` up front instead (a sampling
+:class:`~repro.engine.Runner` at construction, ``sample_circuit`` on
+entry, each worker before its first shard), so the import lands in
+their set-up and never inside a sweep or a shard's elapsed time.
 """
 
 from __future__ import annotations
@@ -13,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from ..sim.dem import DetectorErrorModel
 from ..sim.dem_sampler import pack_bool_rows
@@ -27,6 +35,20 @@ def llr_weight(p: float) -> float:
     """Log-likelihood weight of an error with probability ``p``."""
     p = min(max(p, _MIN_P), 1 - _MIN_P)
     return math.log((1 - p) / p)
+
+
+def load_dijkstra():
+    """Import scipy's sparse all-pairs search; returns ``(coo_matrix,
+    dijkstra)``.
+
+    The only scipy import in the package.  Repeat calls are a module
+    cache lookup, so callers that will decode call it early to move the
+    import out of every timed interval (see the module docstring).
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    return coo_matrix, dijkstra
 
 
 @dataclass
@@ -141,6 +163,10 @@ class DetectorGraph:
         with its pointer's and jumps the pointer to the pointer's
         pointer, so every node reaches its root in ``log2(depth)``
         vectorised passes.
+
+        scipy is imported here on first use (:func:`load_dijkstra`)
+        unless the process loaded it earlier, as sampling runs do at
+        construction so that the import is never timed as ``dijkstra``.
         """
         if self._dist is None:
             with span("dijkstra"):
@@ -148,6 +174,7 @@ class DetectorGraph:
         return self._dist, self._obs
 
     def _all_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        coo_matrix, dijkstra = load_dijkstra()
         n = self.num_nodes
         u = np.array([e.u for e in self.edges], dtype=np.intp)
         v = np.array([e.v for e in self.edges], dtype=np.intp)

@@ -31,6 +31,7 @@ import signal
 import socket
 import time
 
+from ..decoders.graph import load_dijkstra
 from ..telemetry import get as active_telemetry
 from .cache import CompilationCache, CompiledCircuit, dem_to_jsonable
 from .scheduler import ShardOutcome, ShardTask
@@ -699,9 +700,12 @@ def _run_local_worker(sock: socket.socket, inherited: list) -> None:
     from its parent; closing them leaves the driver the only holder of
     its ends, so the driver's death reaches every worker as EOF.
     Ctrl-C is the driver's business: a SIGINT delivered to the whole
-    foreground group must not kill workers mid-shard.
+    foreground group must not kill workers mid-shard.  A spawned child
+    imports scipy here, before its first shard (a forked one inherits
+    the driver's copy).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    load_dijkstra()
     for other in inherited:
         other.close()
     with sock:

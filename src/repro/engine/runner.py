@@ -51,6 +51,7 @@ from ..arch.wiring import wiring_by_name
 from ..codes import make_code
 from ..core.compiler import CompilerConfig, QccdCompiler
 from ..core.stim_export import program_to_circuit
+from ..decoders.graph import load_dijkstra
 from ..noise.parameters import DEFAULT_NOISE, NoiseParameters
 from ..sim.circuit import StabilizerCircuit
 from ..telemetry import get as active_telemetry
@@ -297,6 +298,10 @@ class Runner:
         steal_min_shots: int = 256,
     ):
         self.spec = spec
+        if spec.shots > 0:
+            # A sampling sweep decodes: import scipy now, in set-up and
+            # before any backend forks, not inside run().
+            load_dijkstra()
         self._own_backend = backend is None
         if backend is None:
             backend = (
@@ -737,6 +742,7 @@ def sample_circuit(
         raise ValueError("target_failures must be positive")
     if target_rel_stderr is not None and target_rel_stderr <= 0:
         raise ValueError("target_rel_stderr must be positive")
+    load_dijkstra()
     cache = CompilationCache()
     compiled = cache.compiled(circuit)
     if seed is None:

@@ -318,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSONL result store; completed jobs are "
                               "skipped on re-run")
     p_sweep.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="on-disk DEM / distance-matrix cache shared "
-                              "across runs")
+                         help="on-disk DEM cache shared across runs")
     p_sweep.add_argument("--cache-max-mb", type=float, default=None,
                          metavar="MB",
                          help="size bound for --cache-dir; least-recently-"

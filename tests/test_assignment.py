@@ -12,7 +12,7 @@ oracle; scipy.optimize is a test-only dependency of ``repro``):
   capacity 2/5/12 x grid/switch/linear;
 - the errors: tall, NaN, -inf and infeasible matrices;
 - a guard that importing the package loads neither networkx nor
-  scipy.optimize.
+  scipy.optimize, and that a compile-only sweep needs no scipy at all.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from repro.core.place import (
     build_device_for,
     layout_positions,
 )
+from repro.engine import Runner, SweepSpec
 
 REPO = Path(__file__).resolve().parents[1]
 INF = float("inf")
@@ -126,15 +127,7 @@ def test_invalid_entries_rejected(bad):
         linear_sum_assignment(cost)
 
 
-def test_runtime_imports_skip_networkx_and_scipy_optimize():
-    """The package, the engine and the CLI start without networkx or
-    scipy.optimize (each cost ~0.2-0.6 s of start-up)."""
-    script = (
-        "import sys\n"
-        "import repro, repro.engine, repro.toolflow.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'"
-        " or m == 'scipy.optimize' or m.startswith('scipy.optimize.')))\n"
-    )
+def _run_script(script: str) -> str:
     path = os.environ.get("PYTHONPATH")
     src = str(REPO / "src")
     env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
@@ -142,4 +135,48 @@ def test_runtime_imports_skip_networkx_and_scipy_optimize():
         [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout
+
+
+def test_runtime_imports_skip_networkx_and_scipy_optimize():
+    """The package, the engine and the CLI start without networkx or
+    scipy.optimize (each cost ~0.2-0.6 s of start-up), and a
+    compile-only sweep runs without any scipy; a sampling ``Runner``
+    loads scipy's Dijkstra at construction, before ``run()``."""
+    script = (
+        "import sys\n"
+        "import repro, repro.engine, repro.toolflow.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'"
+        " or m == 'scipy.optimize' or m.startswith('scipy.optimize.')))\n"
+        "from repro.engine import Runner, SweepSpec\n"
+        "Runner(SweepSpec(distances=(3,), rounds=2, shots=0)).run()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "Runner(SweepSpec(distances=(3,), rounds=2, shots=10))\n"
+        "print('scipy.sparse.csgraph' in sys.modules)\n"
+    )
+    assert _run_script(script).splitlines() == ["[]", "[]", "True"]
+
+
+def test_compile_only_sweep_runs_with_scipy_blocked():
+    """With every scipy import refused, a compile-only sweep still
+    returns the same round time, and a sampling ``Runner`` fails at
+    construction rather than mid-sweep."""
+    [expected] = Runner(SweepSpec(distances=(3,), rounds=2, shots=0)).run()
+    script = (
+        "import sys\n"
+        "class Block:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'blocked: {name}')\n"
+        "sys.meta_path.insert(0, Block())\n"
+        "from repro.engine import Runner, SweepSpec\n"
+        "[r] = Runner(SweepSpec(distances=(3,), rounds=2, shots=0)).run()\n"
+        "print(repr(r.metrics['round_time_us']))\n"
+        "try:\n"
+        "    Runner(SweepSpec(distances=(3,), rounds=2, shots=10))\n"
+        "except ImportError:\n"
+        "    print('refused')\n"
+    )
+    assert _run_script(script).split() == [
+        repr(expected.metrics["round_time_us"]), "refused",
+    ]
