@@ -7,14 +7,19 @@ log-likelihood ratios ``log((1-p)/p)`` so that minimum-weight matching
 corresponds to maximum-likelihood (independent-errors) decoding.
 
 The all-pairs search behind :meth:`DetectorGraph.shortest_paths` is
-scipy's sparse Dijkstra, and :func:`load_dijkstra` is the one place
-that imports it.  Importing ``scipy.sparse`` costs about a quarter of
-a second and 24 MB, which a compile-only process never needs, so the
-import is deferred until a process is about to decode.  Processes that
-will sample call :func:`load_dijkstra` up front instead (a sampling
-:class:`~repro.engine.Runner` at construction, ``sample_circuit`` on
-entry, each worker before its first shard), so the import lands in
-their set-up and never inside a sweep or a shard's elapsed time.
+in-repo numpy: a min-plus Bellman–Ford from every source at once over
+the nodes some edge touches (:meth:`DetectorGraph.has_edge`), relaxing
+only the sources whose distances changed in the last sweep.  It adds
+weights in the order a Dijkstra does, one edge at a time from the
+source, so its distances are those of any Dijkstra (scipy's included)
+bit for bit.  Where two shortest paths tie, each node's predecessor in
+the tree rooted at a source follows one rule: among the *tight* arcs
+``p -> v`` (``dist[p] + w == dist[v]`` in floating point), take the
+smallest ``dist[p]``, then the largest ``p``.  An arc that adds nothing
+to the distance (a zero or absorbed weight, so ``dist[p] == dist[v]``)
+is tight only when ``p`` is reached over fewer edges, which keeps the
+trees free of loops.  The path masks, and so every correction, follow
+from those trees.
 """
 
 from __future__ import annotations
@@ -35,20 +40,6 @@ def llr_weight(p: float) -> float:
     """Log-likelihood weight of an error with probability ``p``."""
     p = min(max(p, _MIN_P), 1 - _MIN_P)
     return math.log((1 - p) / p)
-
-
-def load_dijkstra():
-    """Import scipy's sparse all-pairs search; returns ``(coo_matrix,
-    dijkstra)``.
-
-    The only scipy import in the package.  Repeat calls are a module
-    cache lookup, so callers that will decode call it early to move the
-    import out of every timed interval (see the module docstring).
-    """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    return coo_matrix, dijkstra
 
 
 @dataclass
@@ -131,9 +122,18 @@ class DetectorGraph:
         graph.conflicting_edges = len(conflicts)
         return graph
 
+    def has_edge(self) -> np.ndarray:
+        """Boolean row over the nodes, boundary last: which nodes some
+        edge touches.  Every other node is isolated."""
+        touched = np.zeros(self.num_nodes, dtype=bool)
+        touched[[e.u for e in self.edges]] = True
+        touched[[e.v for e in self.edges]] = True
+        return touched
+
     def detector_mask(self) -> np.ndarray:
-        """The detectors some edge touches, as one packed row of uint64
-        words (the :func:`~repro.sim.dem_sampler.pack_bool_rows` layout).
+        """The detectors some edge touches (:meth:`has_edge`), as one
+        packed row of uint64 words (the
+        :func:`~repro.sim.dem_sampler.pack_bool_rows` layout).
 
         A defect on any other detector has nothing to match to, so the
         decoders abstain on it; masking syndromes with this row before
@@ -142,31 +142,29 @@ class DetectorGraph:
         memory-experiment model these are the detectors of the
         observable's basis.
         """
-        touched = np.zeros((1, self.num_detectors), dtype=bool)
-        for edge in self.edges:
-            touched[0, edge.u] = True
-            if edge.v != self.boundary:
-                touched[0, edge.v] = True
-        return pack_bool_rows(touched)[0]
+        return pack_bool_rows(self.has_edge()[None, : self.num_detectors])[0]
 
     # ------------------------------------------------------------------
     def shortest_paths(self) -> tuple[np.ndarray, np.ndarray]:
         """The all-pairs ``(dist, obs)`` matrices, computed once per graph.
 
-        ``dist`` is the Dijkstra distance between every node pair
-        (``inf`` when unreachable).  ``obs[u, v]`` is the observable
-        mask of the shortest u-v path in the tree rooted at
-        ``min(u, v)``, and 0 for unreachable pairs: the correction a
-        matching decoder applies for that pair, gathered rather than
-        walked.  The masks come from scipy's predecessor matrix by
+        ``dist`` is the shortest-path distance between every node pair
+        (``inf`` when unreachable), bit-equal to a Dijkstra's from the
+        row's node.  ``obs[u, v]`` is the observable mask of the
+        shortest u-v path in the tree rooted at ``min(u, v)``, and 0
+        for unreachable pairs: the correction a matching decoder
+        applies for that pair, gathered rather than walked.
+
+        The search (:func:`_search`) runs over the nodes some edge
+        touches, indexed through a node map; isolated nodes are
+        unreachable from every other node.  Each tree's predecessors
+        follow the module's tie rule: among the tight arcs into a
+        node, the smallest predecessor distance, then the largest
+        predecessor id.  The masks come from the predecessors by
         pointer doubling: each pass XORs a node's partial path mask
         with its pointer's and jumps the pointer to the pointer's
         pointer, so every node reaches its root in ``log2(depth)``
         vectorised passes.
-
-        scipy is imported here on first use (:func:`load_dijkstra`)
-        unless the process loaded it earlier, as sampling runs do at
-        construction so that the import is never timed as ``dijkstra``.
         """
         if self._dist is None:
             with span("dijkstra"):
@@ -174,32 +172,47 @@ class DetectorGraph:
         return self._dist, self._obs
 
     def _all_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        coo_matrix, dijkstra = load_dijkstra()
         n = self.num_nodes
-        u = np.array([e.u for e in self.edges], dtype=np.intp)
-        v = np.array([e.v for e in self.edges], dtype=np.intp)
-        weight = [e.weight for e in self.edges]
-        mat = coo_matrix((weight, (u, v)), shape=(n, n))
-        dist, pred = dijkstra(mat, directed=False, return_predecessors=True)
-        edge_obs = np.zeros((n, n), dtype=np.int64)
+        weight = np.array([e.weight for e in self.edges], dtype=float)
+        if (weight < 0).any():
+            raise ValueError(
+                "shortest paths need non-negative edge weights "
+                "(error probabilities of at most 1/2)"
+            )
+        nodes = np.flatnonzero(self.has_edge())
+        m = nodes.size
+        index = np.full(n, -1, dtype=np.intp)
+        index[nodes] = np.arange(m)
+        u = index[[e.u for e in self.edges]]
+        v = index[[e.v for e in self.edges]]
+        dist_c, pred = _search(m, u, v, weight)
+        edge_obs = np.zeros((m, m), dtype=np.int64)
         edge_obs[u, v] = edge_obs[v, u] = [e.observables for e in self.edges]
         # Row r is the tree rooted at r.  ptr holds flat indices into
-        # the (n, n) plane; roots and unreachable nodes point at
+        # the (m, m) plane; roots and unreachable nodes point at
         # themselves, with mask 0.
-        node = np.arange(n)
+        node = np.arange(m)
         ptr = np.where(pred < 0, node, pred)
         obs = edge_obs[ptr, node].ravel()
         del edge_obs, pred
-        ptr = (ptr + (node * n)[:, None]).ravel()
+        ptr = (ptr + (node * m)[:, None]).ravel()
         while True:
             nxt = ptr[ptr]
             if np.array_equal(nxt, ptr):
                 break
             obs ^= obs[ptr]
             ptr = nxt
-        # A pair reads the tree rooted at its smaller node.
-        obs = obs.reshape(n, n)
-        return dist, np.where(np.tri(n, k=-1, dtype=bool), obs.T, obs)
+        # A pair reads the tree rooted at its smaller node; the node map
+        # keeps the order of node ids.
+        obs = obs.reshape(m, m)
+        obs = np.where(np.tri(m, k=-1, dtype=bool), obs.T, obs)
+        dist = np.full((n, n), np.inf)
+        np.fill_diagonal(dist, 0.0)
+        full_obs = np.zeros((n, n), dtype=np.int64)
+        compact = np.ix_(nodes, nodes)
+        dist[compact] = dist_c
+        full_obs[compact] = obs
+        return dist, full_obs
 
     def distance(self, u: int, v: int) -> float:
         return float(self.shortest_paths()[0][u, v])
@@ -211,3 +224,146 @@ class DetectorGraph:
             if obs_mask & 1:
                 p = p + prob - 2 * p * prob
         return p
+
+
+# ----------------------------------------------------------------------
+# The all-pairs search.  Distances are held one block of sources at a
+# time as a (node rank, source) array, so that a sweep is a few numpy
+# operations per *slot*: slot k holds the k-th arc into every node whose
+# degree exceeds k.  Ranks order nodes by degree, highest first, so
+# slot k's targets are ranks 0..count-1, a prefix of the rows.  The
+# arcs into one node come in decreasing source id, so taking the first
+# of equal candidates takes the largest id.
+
+# Distance entries per block of sources: 2**16 float64s (512 KB) keep a
+# block's rows cache-resident through its sweeps.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _arc_slots(m: int, u: np.ndarray, v: np.ndarray, weight: np.ndarray):
+    """Slots of the arcs ``u -> v`` and ``v -> u`` over nodes 0..m-1.
+
+    Returns ``(slots, tail, rank)``: ``slots[k] = (count, rows, ids,
+    w)`` gives the k-th arc into ranks 0..count-1 (source rank, source
+    id, weight column).  ``tail = (rows, ids, w)`` holds the arcs into
+    rank 0 beyond the second-highest degree, so a single hub such as
+    the boundary costs one reduction instead of a slot per arc.
+    """
+    src = np.concatenate([u, v])
+    dst = np.concatenate([v, u])
+    w = np.concatenate([weight, weight])
+    degree = np.bincount(dst, minlength=m)
+    by_degree = np.argsort(-degree, kind="stable")
+    rank = np.empty(m, dtype=np.intp)
+    rank[by_degree] = np.arange(m)
+    arc = np.lexsort((-src, rank[dst]))
+    src, w = src[arc], w[arc]
+    counts = degree[by_degree]
+    slot = np.arange(arc.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    top = counts[1] if m > 1 else 0
+    slots = []
+    for k in range(top):
+        a = np.flatnonzero(slot == k)
+        slots.append((a.size, rank[src[a]], src[a], w[a, None]))
+    a = np.flatnonzero(slot >= top)
+    return slots, (rank[src[a]], src[a], w[a, None]), rank
+
+
+def _search(m: int, u: np.ndarray, v: np.ndarray, weight: np.ndarray):
+    """All-pairs ``(dist, pred)`` over nodes 0..m-1 joined by edges
+    ``(u, v, weight)``; ``pred`` is -1 at roots and unreachable nodes.
+
+    A min-plus Bellman–Ford from every source of a block at once: each
+    sweep lowers ``dist[s, v]`` to ``min(dist[s, p] + w)`` over the arcs
+    ``p -> v``, and a source leaves the block once a sweep changes none
+    of its distances.  Every value is a path's weight summed from the
+    source one edge at a time, so the fixpoint is exactly a Dijkstra's.
+    Sweeps read the values they have already lowered (Gauss–Seidel),
+    except when some weight is small enough to vanish in a sum: then
+    each sweep reads the last sweep's values (Jacobi), so the sweep that
+    last lowers an entry counts the fewest edges of its shortest paths,
+    which the tie rule needs for arcs that add nothing.
+    """
+    dist = np.empty((m, m))
+    pred = np.empty((m, m), dtype=np.intp)
+    if m == 0:
+        return dist, pred
+    slots, tail, rank = _arc_slots(m, u, v, weight)
+    # x + w == x needs w <= x * 2**-53, and no distance exceeds the sum
+    # of all weights (2x covers rounding), so above this bound every arc
+    # adds to every distance.
+    flat = bool(weight.min() * 2.0**51 <= weight.sum())
+    width = max(1, _BLOCK_ENTRIES // m)
+    for first in range(0, m, width):
+        cols = np.arange(first, min(first + width, m))
+        block = np.full((m, cols.size), np.inf)
+        block[rank[cols], np.arange(cols.size)] = 0.0
+        block_hops = np.zeros(block.shape, dtype=np.intp) if flat else None
+        # d (with hops) holds the block's sources still being lowered.
+        live, d = np.arange(cols.size), block.copy()
+        hops = np.zeros(d.shape, dtype=np.intp) if flat else None
+        sweep = 0
+        while live.size:
+            sweep += 1
+            last = d.copy()
+            _relax(d, last if flat else d, slots, tail)
+            lowered = d < last
+            if flat:
+                hops[lowered] = sweep
+            settled = ~lowered.any(axis=0)
+            if settled.any():
+                done, keep = live[settled], ~settled
+                block[:, done] = d[:, settled]
+                live, d = live[keep], d[:, keep]
+                if flat:
+                    block_hops[:, done] = hops[:, settled]
+                    hops = hops[:, keep]
+        dist[cols] = block[rank].T
+        pred[cols] = _predecessors(block, block_hops, slots, tail)[rank].T
+    return dist, pred
+
+
+def _relax(d: np.ndarray, base: np.ndarray, slots, tail) -> None:
+    """One sweep: lower ``d`` in place by every arc, reading ``base``."""
+    for count, rows, _, w in slots:
+        via = base[rows]
+        via += w
+        np.minimum(d[:count], via, out=d[:count])
+    rows, _, w = tail
+    if rows.size:
+        via = base[rows]
+        via += w
+        np.minimum(d[0], via.min(axis=0), out=d[0])
+
+
+def _predecessors(d: np.ndarray, hops, slots, tail) -> np.ndarray:
+    """Each node's predecessor id by the tie rule, rows by rank.
+
+    A tight arc ``p -> v`` has ``d[p] + w == d[v]``; when it adds
+    nothing (``d[p] == d[v]``) it counts only if ``p`` is reached over
+    fewer edges (``hops``, given when such arcs can occur).  Among the
+    tight arcs the smallest ``d[p]`` wins, then the largest ``p``: the
+    slots come in decreasing source id, so a later arc replaces the
+    best only when strictly closer.
+    """
+    best = np.full(d.shape, np.inf)
+    pred = np.full(d.shape, -1, dtype=np.intp)
+    for count, rows, ids, w in slots:
+        via = d[rows]
+        tight = via + w == d[:count]
+        if hops is not None:
+            tight &= (via < d[:count]) | (hops[rows] < hops[:count])
+        tight &= via < best[:count]
+        np.copyto(best[:count], via, where=tight)
+        np.copyto(pred[:count], ids[:, None], where=tight)
+    rows, ids, w = tail
+    if rows.size:
+        via = d[rows]
+        tight = via + w == d[0]
+        if hops is not None:
+            tight &= (via < d[0]) | (hops[rows] < hops[0])
+        via = np.where(tight, via, np.inf)
+        first = via.argmin(axis=0)
+        closer = via[first, np.arange(d.shape[1])] < best[0]
+        pred[0] = np.where(closer, ids[first], pred[0])
+    return pred

@@ -4,7 +4,7 @@ The decoder pairs up flagged detectors (or matches them to the virtual
 boundary) so that the total log-likelihood weight of the implied error
 chains is minimised, then reports which logical observables those chains
 flip.  Distances and path observable masks come from the detector
-graph's one all-pairs Dijkstra (:meth:`DetectorGraph.shortest_paths`),
+graph's one all-pairs search (:meth:`DetectorGraph.shortest_paths`),
 so every correction is a gather from two dense matrices.
 
 Per-decode matching never builds a graph object per shot.  Three

@@ -8,7 +8,7 @@ The uniform harness behind the paper's figure sweeps:
 - :class:`CompilationCache` — content-addressed in-memory + on-disk
   caching of DEM extraction and detector graphs, plus in-memory
   decoders and bit-packed DEM samplers, so each unique circuit is
-  compiled exactly once per sweep (MWPM's all-pairs Dijkstra runs once
+  compiled exactly once per sweep (MWPM's all-pairs search runs once
   per detector graph, inside the graph); the disk layer holds the two
   DEMs and is LRU-size-bounded via ``max_disk_mb`` (``cache.py``);
 - :class:`Runner` / :func:`run_sweep` with pluggable backends —

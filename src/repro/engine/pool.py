@@ -31,7 +31,6 @@ import signal
 import socket
 import time
 
-from ..decoders.graph import load_dijkstra
 from ..telemetry import get as active_telemetry
 from .cache import CompilationCache, CompiledCircuit, dem_to_jsonable
 from .scheduler import ShardOutcome, ShardTask
@@ -93,7 +92,7 @@ class WorkerPoolBackend:
     most once per (worker, circuit): both DEM payloads), ``config``
     (only when telemetry is on), tiny payload-free ``shard`` tuples,
     ``stop`` — and reads their fixed-shape replies.  Workers build
-    their own decoders, MWPM's all-pairs Dijkstra included, so the
+    their own decoders, MWPM's all-pairs search included, so the
     driver computes no decoder artefact for a pool sweep.  It owns the
     bookkeeping: priming state, per-worker load, the seq -> worker
     dispatch map, abandoned-sweep epochs, and **crash recovery** — a
@@ -700,12 +699,9 @@ def _run_local_worker(sock: socket.socket, inherited: list) -> None:
     from its parent; closing them leaves the driver the only holder of
     its ends, so the driver's death reaches every worker as EOF.
     Ctrl-C is the driver's business: a SIGINT delivered to the whole
-    foreground group must not kill workers mid-shard.  A spawned child
-    imports scipy here, before its first shard (a forked one inherits
-    the driver's copy).
+    foreground group must not kill workers mid-shard.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    load_dijkstra()
     for other in inherited:
         other.close()
     with sock:

@@ -48,7 +48,6 @@ import sys
 import time
 import traceback
 
-from ..decoders.graph import load_dijkstra
 from .pool import WorkerPoolBackend, _Connection
 from .worker import _serve_connection
 
@@ -145,10 +144,7 @@ def serve(listeners: list[socket.socket], *, serve_forever: bool = False,
     By default a worker exits when its driver disconnects — the right
     lifetime for job scripts and CI; ``serve_forever`` keeps it
     accepting one driver after another (a long-lived pool node).
-    scipy is imported before the announcement, so no driver's first
-    shard and no forked slot pays for it.
     """
-    load_dijkstra()
     for listener in listeners:
         bound_host, bound_port = listener.getsockname()[:2]
         print(f"repro-worker listening on {bound_host}:{bound_port}",

@@ -14,10 +14,10 @@ Monte-Carlo sampling through the cross-job shard scheduler
   (:mod:`repro.engine.pool`): every worker runs the same loop
   (:mod:`repro.engine.worker`) over one socket, is primed at most once
   per unique circuit (both DEM payloads), builds its own decoders (an
-  MWPM worker runs its own Dijkstra inside its first shard's elapsed
-  time, so a pool sweep's driver-side ``dijkstra`` phase reads 0), and
-  afterwards receives only ``(circuit key, decoder, shots, seed)``
-  shard messages.  A dead worker does not
+  MWPM worker runs its own all-pairs search inside its first shard's
+  elapsed time, so a pool sweep's driver-side ``dijkstra`` phase reads
+  0), and afterwards receives only ``(circuit key, decoder, shots,
+  seed)`` shard messages.  A dead worker does not
   kill the sweep: its in-flight shards are disowned into a lost list
   the scheduler reaps (``take_lost``) and resubmits to survivors with
   their original seeds.
@@ -51,7 +51,6 @@ from ..arch.wiring import wiring_by_name
 from ..codes import make_code
 from ..core.compiler import CompilerConfig, QccdCompiler
 from ..core.stim_export import program_to_circuit
-from ..decoders.graph import load_dijkstra
 from ..noise.parameters import DEFAULT_NOISE, NoiseParameters
 from ..sim.circuit import StabilizerCircuit
 from ..telemetry import get as active_telemetry
@@ -298,10 +297,6 @@ class Runner:
         steal_min_shots: int = 256,
     ):
         self.spec = spec
-        if spec.shots > 0:
-            # A sampling sweep decodes: import scipy now, in set-up and
-            # before any backend forks, not inside run().
-            load_dijkstra()
         self._own_backend = backend is None
         if backend is None:
             backend = (
@@ -742,7 +737,6 @@ def sample_circuit(
         raise ValueError("target_failures must be positive")
     if target_rel_stderr is not None and target_rel_stderr <= 0:
         raise ValueError("target_rel_stderr must be positive")
-    load_dijkstra()
     cache = CompilationCache()
     compiled = cache.compiled(circuit)
     if seed is None:

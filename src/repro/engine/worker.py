@@ -145,7 +145,7 @@ class ShardExecutor:
     (circuit, decoder) pair has exactly one decoder, which owns its
     syndrome memo; the memo never leaves the worker.
 
-    An MWPM decoder runs the graph's all-pairs Dijkstra when it is
+    An MWPM decoder runs the graph's all-pairs search when it is
     built, so each worker pays it once per circuit inside its first
     MWPM shard's elapsed time (outside that shard's phases); the
     driver computes none, and a pool sweep's driver-side ``dijkstra``

@@ -12,7 +12,7 @@ oracle; scipy.optimize is a test-only dependency of ``repro``):
   capacity 2/5/12 x grid/switch/linear;
 - the errors: tall, NaN, -inf and infeasible matrices;
 - a guard that importing the package loads neither networkx nor
-  scipy.optimize, and that a compile-only sweep needs no scipy at all.
+  scipy, and that compile-only and sampling sweeps need no scipy at all.
 """
 
 from __future__ import annotations
@@ -140,28 +140,32 @@ def _run_script(script: str) -> str:
 
 def test_runtime_imports_skip_networkx_and_scipy_optimize():
     """The package, the engine and the CLI start without networkx or
-    scipy.optimize (each cost ~0.2-0.6 s of start-up), and a
-    compile-only sweep runs without any scipy; a sampling ``Runner``
-    loads scipy's Dijkstra at construction, before ``run()``."""
+    scipy (each cost ~0.2-0.6 s of start-up), and neither a
+    compile-only sweep nor a sampling one that decodes with mwpm and
+    union_find loads any scipy module."""
     script = (
         "import sys\n"
         "import repro, repro.engine, repro.toolflow.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'"
-        " or m == 'scipy.optimize' or m.startswith('scipy.optimize.')))\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('networkx', 'scipy')))\n"
         "from repro.engine import Runner, SweepSpec\n"
         "Runner(SweepSpec(distances=(3,), rounds=2, shots=0)).run()\n"
+        "Runner(SweepSpec(distances=(3,), rounds=2, shots=200,\n"
+        "                 decoders=('mwpm', 'union_find'))).run()\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "Runner(SweepSpec(distances=(3,), rounds=2, shots=10))\n"
-        "print('scipy.sparse.csgraph' in sys.modules)\n"
     )
-    assert _run_script(script).splitlines() == ["[]", "[]", "True"]
+    assert _run_script(script).splitlines() == ["[]", "[]"]
 
 
 def test_compile_only_sweep_runs_with_scipy_blocked():
-    """With every scipy import refused, a compile-only sweep still
-    returns the same round time, and a sampling ``Runner`` fails at
-    construction rather than mid-sweep."""
+    """With every scipy import refused, a compile-only sweep returns
+    the same round time, and a sampling sweep the same shots and
+    failures per decoder, as an unblocked run."""
+    sampling = dict(distances=(3,), rounds=2, shots=2000,
+                    decoders=("mwpm", "union_find"))
     [expected] = Runner(SweepSpec(distances=(3,), rounds=2, shots=0)).run()
+    sampled = Runner(SweepSpec(**sampling)).run()
+    assert all(r.failures for r in sampled)
     script = (
         "import sys\n"
         "class Block:\n"
@@ -172,11 +176,10 @@ def test_compile_only_sweep_runs_with_scipy_blocked():
         "from repro.engine import Runner, SweepSpec\n"
         "[r] = Runner(SweepSpec(distances=(3,), rounds=2, shots=0)).run()\n"
         "print(repr(r.metrics['round_time_us']))\n"
-        "try:\n"
-        "    Runner(SweepSpec(distances=(3,), rounds=2, shots=10))\n"
-        "except ImportError:\n"
-        "    print('refused')\n"
+        f"for r in Runner(SweepSpec(**{sampling!r})).run():\n"
+        "    print(r.job.decoder, r.shots, r.failures)\n"
     )
-    assert _run_script(script).split() == [
-        repr(expected.metrics["round_time_us"]), "refused",
+    assert _run_script(script).splitlines() == [
+        repr(expected.metrics["round_time_us"]),
+        *(f"{r.job.decoder} {r.shots} {r.failures}" for r in sampled),
     ]

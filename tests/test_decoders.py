@@ -133,6 +133,17 @@ class TestDetectorGraph:
         assert 0 < reachable < n * (n - 1) // 2
         assert obs.any()  # some paths cross the logical observable
 
+    @pytest.mark.parametrize("distance", [3, 5, 7])
+    @pytest.mark.parametrize("basis", ["X", "Z"])
+    def test_ideal_surface_masks_match_a_predecessor_walk(
+        self, distance, basis
+    ):
+        code = RotatedSurfaceCode(distance)
+        for p in (1e-3, 1e-2):
+            circ = ideal_memory_circuit(code, distance, basis, UniformNoise(p))
+            graph = DetectorGraph.from_dem(circuit_to_dem(circ))
+            assert _assert_masks_match_walk(graph) > 0
+
     def test_tied_pair_reads_the_smaller_roots_tree(self):
         # Hexagon 0-2-4-1-3-5-0 of equal weights: 0 and 1 are joined by
         # two shortest paths, only one crossing the observable, and the
