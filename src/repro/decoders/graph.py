@@ -236,7 +236,9 @@ class DetectorGraph:
 # of equal candidates takes the largest id.
 
 # Distance entries per block of sources: 2**16 float64s (512 KB) keep a
-# block's rows cache-resident through its sweeps.
+# block's rows cache-resident through its sweeps.  Graphs up to compiled
+# d=7 fit in one block; at d=9 and d=11 one block for all sources took
+# 1.3-1.6x as long (README, "Shortest paths").
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -247,7 +249,9 @@ def _arc_slots(m: int, u: np.ndarray, v: np.ndarray, weight: np.ndarray):
     w)`` gives the k-th arc into ranks 0..count-1 (source rank, source
     id, weight column).  ``tail = (rows, ids, w)`` holds the arcs into
     rank 0 beyond the second-highest degree, so a single hub such as
-    the boundary costs one reduction instead of a slot per arc.
+    the boundary costs one reduction instead of a slot per arc (a slot
+    per hub arc made the search 1.2-1.5x as slow on compiled d=5
+    to d=11 graphs).
     """
     src = np.concatenate([u, v])
     dst = np.concatenate([v, u])
@@ -275,84 +279,73 @@ def _search(m: int, u: np.ndarray, v: np.ndarray, weight: np.ndarray):
 
     A min-plus Bellman–Ford from every source of a block at once: each
     sweep lowers ``dist[s, v]`` to ``min(dist[s, p] + w)`` over the arcs
-    ``p -> v``, and a source leaves the block once a sweep changes none
-    of its distances.  Every value is a path's weight summed from the
-    source one edge at a time, so the fixpoint is exactly a Dijkstra's.
-    Sweeps read the values they have already lowered (Gauss–Seidel),
-    except when some weight is small enough to vanish in a sum: then
-    each sweep reads the last sweep's values (Jacobi), so the sweep that
-    last lowers an entry counts the fewest edges of its shortest paths,
-    which the tie rule needs for arcs that add nothing.
+    ``p -> v``, reading the last sweep's values, and a source leaves the
+    block once a sweep changes none of its distances.  Every value is a
+    path's weight summed from the source one edge at a time, so the
+    fixpoint is exactly a Dijkstra's.  After sweep k an entry holds the
+    shortest path of at most k edges, so the sweep that last lowers it
+    (``hops``) counts the fewest edges of its shortest paths, which the
+    tie rule needs for arcs that add nothing.
     """
     dist = np.empty((m, m))
     pred = np.empty((m, m), dtype=np.intp)
     if m == 0:
         return dist, pred
     slots, tail, rank = _arc_slots(m, u, v, weight)
-    # x + w == x needs w <= x * 2**-53, and no distance exceeds the sum
-    # of all weights (2x covers rounding), so above this bound every arc
-    # adds to every distance.
-    flat = bool(weight.min() * 2.0**51 <= weight.sum())
     width = max(1, _BLOCK_ENTRIES // m)
     for first in range(0, m, width):
         cols = np.arange(first, min(first + width, m))
         block = np.full((m, cols.size), np.inf)
         block[rank[cols], np.arange(cols.size)] = 0.0
-        block_hops = np.zeros(block.shape, dtype=np.intp) if flat else None
-        # d (with hops) holds the block's sources still being lowered.
-        live, d = np.arange(cols.size), block.copy()
-        hops = np.zeros(d.shape, dtype=np.intp) if flat else None
+        block_hops = np.zeros(block.shape, dtype=np.intp)
+        # d and hops hold the block's sources still being lowered.
+        live, d, hops = np.arange(cols.size), block.copy(), block_hops.copy()
         sweep = 0
         while live.size:
             sweep += 1
             last = d.copy()
-            _relax(d, last if flat else d, slots, tail)
+            _relax(d, last, slots, tail)
             lowered = d < last
-            if flat:
-                hops[lowered] = sweep
+            np.copyto(hops, sweep, where=lowered)
             settled = ~lowered.any(axis=0)
             if settled.any():
                 done, keep = live[settled], ~settled
                 block[:, done] = d[:, settled]
-                live, d = live[keep], d[:, keep]
-                if flat:
-                    block_hops[:, done] = hops[:, settled]
-                    hops = hops[:, keep]
+                block_hops[:, done] = hops[:, settled]
+                live, d, hops = live[keep], d[:, keep], hops[:, keep]
         dist[cols] = block[rank].T
         pred[cols] = _predecessors(block, block_hops, slots, tail)[rank].T
     return dist, pred
 
 
-def _relax(d: np.ndarray, base: np.ndarray, slots, tail) -> None:
-    """One sweep: lower ``d`` in place by every arc, reading ``base``."""
+def _relax(d: np.ndarray, last: np.ndarray, slots, tail) -> None:
+    """One sweep: lower ``d`` in place by every arc, reading ``last``."""
     for count, rows, _, w in slots:
-        via = base[rows]
+        via = last[rows]
         via += w
         np.minimum(d[:count], via, out=d[:count])
     rows, _, w = tail
     if rows.size:
-        via = base[rows]
+        via = last[rows]
         via += w
         np.minimum(d[0], via.min(axis=0), out=d[0])
 
 
-def _predecessors(d: np.ndarray, hops, slots, tail) -> np.ndarray:
+def _predecessors(d: np.ndarray, hops: np.ndarray, slots, tail) -> np.ndarray:
     """Each node's predecessor id by the tie rule, rows by rank.
 
     A tight arc ``p -> v`` has ``d[p] + w == d[v]``; when it adds
     nothing (``d[p] == d[v]``) it counts only if ``p`` is reached over
-    fewer edges (``hops``, given when such arcs can occur).  Among the
-    tight arcs the smallest ``d[p]`` wins, then the largest ``p``: the
-    slots come in decreasing source id, so a later arc replaces the
-    best only when strictly closer.
+    fewer edges (``hops``).  Among the tight arcs the smallest ``d[p]``
+    wins, then the largest ``p``: the slots come in decreasing source
+    id, so a later arc replaces the best only when strictly closer.
     """
     best = np.full(d.shape, np.inf)
     pred = np.full(d.shape, -1, dtype=np.intp)
     for count, rows, ids, w in slots:
         via = d[rows]
         tight = via + w == d[:count]
-        if hops is not None:
-            tight &= (via < d[:count]) | (hops[rows] < hops[:count])
+        tight &= (via < d[:count]) | (hops[rows] < hops[:count])
         tight &= via < best[:count]
         np.copyto(best[:count], via, where=tight)
         np.copyto(pred[:count], ids[:, None], where=tight)
@@ -360,8 +353,7 @@ def _predecessors(d: np.ndarray, hops, slots, tail) -> np.ndarray:
     if rows.size:
         via = d[rows]
         tight = via + w == d[0]
-        if hops is not None:
-            tight &= (via < d[0]) | (hops[rows] < hops[0])
+        tight &= (via < d[0]) | (hops[rows] < hops[0])
         via = np.where(tight, via, np.inf)
         first = via.argmin(axis=0)
         closer = via[first, np.arange(d.shape[1])] < best[0]
