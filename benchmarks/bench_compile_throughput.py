@@ -1,16 +1,15 @@
-"""Compile-throughput benchmark over the strategy grid.
+"""Compile-throughput benchmark over the routing-strategy grid.
 
-The strategy layer (PR 7) turned the compiler's routing and placement
-policies into first-class sweep axes; this benchmark grids
+The routing strategy is a first-class sweep axis; this benchmark grids
 
-    (router x placer) x topology x distance
+    router x topology x distance
 
 through direct ``QccdCompiler`` invocations, timing each compile, and
 records makespan / op-count / movement ops / compile-seconds /
-compile throughput (ops per second of compile time) per strategy into
-``BENCH_compile.json`` at the repo root — the per-strategy numbers the
+compile throughput (ops per second of compile time) per router into
+``BENCH_compile.json`` at the repo root — the per-router numbers the
 README's strategy-comparison table cites, and CI's regression gate that
-every registered strategy still completes the grid.
+every registered router still completes the grid.
 
 ``--smoke`` (or ``REPRO_BENCH_SMOKE=1``) shrinks the grid to d=3 over
 two topologies; the full grid adds d=5 and the linear topology.
@@ -21,12 +20,7 @@ import os
 import time
 
 from repro.codes import RotatedSurfaceCode
-from repro.core import (
-    CompilerConfig,
-    QccdCompiler,
-    available_placers,
-    available_routers,
-)
+from repro.core import CompilerConfig, QccdCompiler, available_routers
 
 from _common import publish, smoke
 
@@ -34,9 +28,9 @@ BENCH_PATH = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_compile.json")
 )
 
-# Strategies that existed before the strategy layer: the baseline row
-# every other strategy is compared against.
-BASELINE = ("greedy", "projection")
+# The paper's router: the baseline row every other router is compared
+# against.
+BASELINE = "greedy"
 
 
 def _grid():
@@ -45,13 +39,12 @@ def _grid():
     return (3, 5), ("grid", "linear", "switch")
 
 
-def _compile_point(distance, topology, router, placer):
+def _compile_point(distance, topology, router):
     cfg = CompilerConfig(
         code=RotatedSurfaceCode(distance),
         topology=topology,
         rounds=2,
         router=router,
-        placer=placer,
     )
     t0 = time.perf_counter()
     program = QccdCompiler(cfg).compile()
@@ -60,7 +53,6 @@ def _compile_point(distance, topology, router, placer):
         "distance": distance,
         "topology": topology,
         "router": router,
-        "placer": placer,
         "makespan_us": program.stats.makespan_us,
         "num_ops": len(program.ops),
         "movement_ops": program.stats.movement_ops,
@@ -73,24 +65,21 @@ def _compile_point(distance, topology, router, placer):
 def test_compile_throughput():
     distances, topologies = _grid()
     routers = available_routers()
-    placers = available_placers()
 
-    points = []
-    for distance in distances:
-        for topology in topologies:
-            for router in routers:
-                for placer in placers:
-                    points.append(
-                        _compile_point(distance, topology, router, placer)
-                    )
+    points = [
+        _compile_point(distance, topology, router)
+        for distance in distances
+        for topology in topologies
+        for router in routers
+    ]
 
     baseline = {
         (p["distance"], p["topology"]): p
         for p in points
-        if (p["router"], p["placer"]) == BASELINE
+        if p["router"] == BASELINE
     }
     header = (
-        f"{'d':>2} {'topo':6} {'router':8} {'placer':10} "
+        f"{'d':>2} {'topo':6} {'router':8} "
         f"{'makespan_us':>11} {'ops':>5} {'moves':>5} "
         f"{'compile_s':>9} {'ops/s':>8} {'vs greedy':>9}"
     )
@@ -100,7 +89,7 @@ def test_compile_throughput():
         rel = p["makespan_us"] / base["makespan_us"]
         lines.append(
             f"{p['distance']:>2} {p['topology']:6} {p['router']:8} "
-            f"{p['placer']:10} {p['makespan_us']:>11,.0f} {p['num_ops']:>5} "
+            f"{p['makespan_us']:>11,.0f} {p['num_ops']:>5} "
             f"{p['movement_ops']:>5} {p['compile_s']:>9.3f} "
             f"{p['ops_per_compile_s']:>8,.0f} {rel:>8.2f}x"
         )
@@ -114,7 +103,6 @@ def test_compile_throughput():
             "distances": list(distances),
             "topologies": list(topologies),
             "routers": list(routers),
-            "placers": list(placers),
             "rounds": 2,
         },
         "points": points,
@@ -123,19 +111,14 @@ def test_compile_throughput():
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
-    # Regression gates: every registered strategy covers the whole
-    # grid, produces a non-trivial program, and no strategy collapses
-    # (an alternative policy may trade makespan for parallelism or
-    # batching, but a blow-up past 3x the baseline means it stopped
-    # routing sensibly).
-    assert len(points) == (
-        len(distances) * len(topologies) * len(routers) * len(placers)
-    )
+    # Regression gates: every registered router covers the whole grid,
+    # produces a non-trivial program, and no router collapses (an
+    # alternative policy may trade makespan for batching, but a blow-up
+    # past 3x the baseline means it stopped routing sensibly).
+    assert len(points) == len(distances) * len(topologies) * len(routers)
     for p in points:
         assert p["num_ops"] > 0 and p["makespan_us"] > 0, p
         base = baseline[(p["distance"], p["topology"])]
         assert p["makespan_us"] <= 3.0 * base["makespan_us"], p
-    # The strategy axes the paper's toolflow gained in PR 7 must be
-    # present in the artifact.
-    assert {"layered", "parallel"} <= set(routers)
-    assert "window" in set(placers)
+    # The layered router must be present in the artifact.
+    assert "layered" in set(routers)

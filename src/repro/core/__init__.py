@@ -17,22 +17,14 @@ from .ir import (
 )
 from .optimal import OptimalEstimate, optimal_estimate, single_chain_round_time
 from .place import (
-    PLACERS,
     Placement,
-    PlacementStrategy,
-    ProjectionPlacer,
-    WindowPlacer,
-    available_placers,
     build_device_for,
     layout_positions,
     partition_qubits,
     place,
-    placer_by_name,
-    register_placer,
 )
 from .route import GreedyRouter, RoutingError
 from .route_layered import LayeredRouter
-from .route_parallel import ParallelRouter
 from .routing_base import (
     ROUTERS,
     RoutingStrategy,
@@ -73,20 +65,12 @@ __all__ = [
     "optimal_estimate",
     "single_chain_round_time",
     "Placement",
-    "PlacementStrategy",
-    "ProjectionPlacer",
-    "WindowPlacer",
-    "PLACERS",
-    "available_placers",
-    "placer_by_name",
-    "register_placer",
     "build_device_for",
     "layout_positions",
     "partition_qubits",
     "place",
     "GreedyRouter",
     "LayeredRouter",
-    "ParallelRouter",
     "RoutingStrategy",
     "RoutingError",
     "ROUTERS",

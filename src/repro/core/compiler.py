@@ -17,7 +17,6 @@ from .translate import build_gate_dag
 # Importing the strategy modules registers them.
 from . import route as _route  # noqa: F401
 from . import route_layered as _route_layered  # noqa: F401
-from . import route_parallel as _route_parallel  # noqa: F401
 
 
 @dataclass
@@ -32,7 +31,6 @@ class CompilerConfig:
     basis: str = "Z"
     times: OperationTimes = field(default_factory=lambda: DEFAULT_TIMES)
     router: str = "greedy"
-    placer: str = "projection"
 
     def operation_times(self) -> OperationTimes:
         return self.wiring.operation_times(self.times)
@@ -71,12 +69,11 @@ def compute_stats(
 class QccdCompiler:
     """Compile a QEC memory experiment onto a QCCD device.
 
-    Pipeline: translate (commutation-aware DAG) -> place (pluggable
-    placement strategy, default partition + Hungarian) -> route
-    (pluggable routing strategy, default multi-pass shortest paths) ->
-    schedule (ASAP or WISE type-exclusive list scheduling).  Strategies
-    are selected by name via ``config.router`` / ``config.placer``
-    (see :mod:`repro.core.routing_base` and :mod:`repro.core.place`).
+    Pipeline: translate (commutation-aware DAG) -> place (partition +
+    Hungarian projection, :mod:`repro.core.place`) -> route (routing
+    strategy selected by name via ``config.router``, default multi-pass
+    shortest paths; see :mod:`repro.core.routing_base`) -> schedule
+    (ASAP or WISE type-exclusive list scheduling).
     """
 
     def __init__(self, config: CompilerConfig):
@@ -87,7 +84,7 @@ class QccdCompiler:
         router_cls = router_by_name(cfg.router)
         with telemetry.span("compile.translate"):
             gates = build_gate_dag(cfg.code, cfg.rounds, cfg.basis)
-        with telemetry.span("compile.place", placer=cfg.placer):
+        with telemetry.span("compile.place"):
             placement = self.placement()
         with telemetry.span("compile.route", router=cfg.router):
             router = router_cls(cfg.code, placement, gates, cfg.operation_times())
@@ -103,12 +100,11 @@ class QccdCompiler:
             device=placement.device,
             stats=stats,
             router=cfg.router,
-            placer=cfg.placer,
         )
 
     def placement(self) -> Placement:
         cfg = self.config
-        return place(cfg.code, cfg.trap_capacity, cfg.topology, placer=cfg.placer)
+        return place(cfg.code, cfg.trap_capacity, cfg.topology)
 
 
 def compile_memory_experiment(
@@ -119,7 +115,6 @@ def compile_memory_experiment(
     rounds: int = 1,
     basis: str = "Z",
     router: str = "greedy",
-    placer: str = "projection",
 ) -> CompiledProgram:
     """One-call convenience wrapper used by examples and benchmarks."""
     config = CompilerConfig(
@@ -130,7 +125,6 @@ def compile_memory_experiment(
         rounds=rounds,
         basis=basis,
         router=router,
-        placer=placer,
     )
     return QccdCompiler(config).compile()
 

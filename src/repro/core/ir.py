@@ -86,7 +86,6 @@ class CompiledProgram:
     device: QCCDDevice               # the device the ops run on
     stats: ProgramStats
     router: str = "greedy"           # routing strategy that produced ops
-    placer: str = "projection"       # placement strategy behind qubit_to_trap
 
     def end(self, op_id: int) -> float:
         return self.start[op_id] + self.ops[op_id].duration

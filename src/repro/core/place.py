@@ -2,24 +2,12 @@
 
 Following Sec. 4.2: qubits are partitioned into balanced clusters of
 ``capacity - 1`` (one slot per trap stays free for visiting ions) by a
-top-down regular partition of the code layout, and clusters are mapped
-to traps by a pluggable :class:`PlacementStrategy`:
-
-* ``projection`` (the paper's scheme, and the default): minimum-cost
-  assignment (Hungarian algorithm) of cluster centroids to trap sites
-  on normalised geometric distance — the shortest-augmenting-path
-  solver in :mod:`.assignment` (a port of scipy's, returning its
-  assignment) is the polynomial-time equivalent of the paper's
-  subset-enumeration + Hungarian scheme.
-* ``window`` (Enola-style incremental placement): clusters are placed
-  one at a time, most-connected-to-the-placed-set first, each onto the
-  free trap that minimises interaction-weighted distance to its already
-  placed neighbours — a windowed/partial placement that optimises the
-  interactions that matter instead of the global geometric projection.
-
-Strategies register themselves in :data:`PLACERS`; the sweep engine and
-CLI select them by name, exactly like routing strategies
-(:mod:`repro.core.routing_base`).
+top-down regular partition of the code layout, and the clusters are
+projected onto the traps: a minimum-cost assignment (Hungarian
+algorithm) of cluster centroids to trap sites on normalised geometric
+distance.  The shortest-augmenting-path solver in :mod:`.assignment`
+(a port of scipy's, returning its assignment) is the polynomial-time
+equivalent of the paper's subset-enumeration + Hungarian scheme.
 
 Devices are built to fit the workload: for capacity 2 on a grid the
 trap sites exactly tile the code layout (the dedicated logical-qubit
@@ -154,92 +142,46 @@ def build_device_for(
     raise ValueError(f"unknown topology {topology!r}")
 
 
-# ---------------------------------------------------------------------------
-# Placement strategies
-
-
-PLACERS: dict[str, type["PlacementStrategy"]] = {}
-
-
-def register_placer(name: str):
-    """Class decorator: register a placement strategy under ``name``."""
-
-    def decorator(cls: type["PlacementStrategy"]) -> type["PlacementStrategy"]:
-        cls.name = name
-        PLACERS[name] = cls
-        return cls
-
-    return decorator
-
-
-def placer_by_name(name: str) -> type["PlacementStrategy"]:
-    try:
-        return PLACERS[name]
-    except KeyError:
+def place(
+    code: StabilizerCode,
+    capacity: int,
+    topology: str,
+    device: QCCDDevice | None = None,
+) -> Placement:
+    """Cluster qubits, build the device, project clusters onto traps."""
+    if capacity < 2:
+        raise ValueError("trap capacity must be at least 2")
+    if device is None:
+        device, clusters = build_device_for(code, capacity, topology)
+    else:
+        clusters = partition_qubits(code, capacity - 1)
+    # Validate up front: the failure mode is otherwise an opaque shape
+    # error deep inside the assignment solver.
+    if len(clusters) > len(device.traps):
         raise ValueError(
-            f"unknown placer {name!r}; available: {', '.join(available_placers())}"
-        ) from None
-
-
-def available_placers() -> tuple[str, ...]:
-    return tuple(sorted(PLACERS))
-
-
-class PlacementStrategy:
-    """Shared placement machinery: partition, device build, validation.
-
-    Subclasses implement :meth:`_assign`, mapping clusters to traps;
-    everything else — clustering, device construction, capacity
-    validation and chain assembly — is common, so every strategy yields
-    a :class:`Placement` the routers can consume interchangeably.
-    """
-
-    name = "base"
-
-    def place(
-        self,
-        code: StabilizerCode,
-        capacity: int,
-        topology: str,
-        device: QCCDDevice | None = None,
-    ) -> Placement:
-        if capacity < 2:
-            raise ValueError("trap capacity must be at least 2")
-        if device is None:
-            device, clusters = build_device_for(code, capacity, topology)
-        else:
-            clusters = partition_qubits(code, capacity - 1)
-        # Validate up front: the failure mode is otherwise an opaque
-        # shape error deep inside the assignment solver.
-        if len(clusters) > len(device.traps):
-            raise ValueError(
-                f"cannot place {code.name} code with {code.num_qubits} qubits "
-                f"(distance {code.distance}) on a {len(device.traps)}-trap "
-                f"device at trap capacity {capacity}: {len(clusters)} clusters "
-                f"of up to {capacity - 1} resident ion(s) need "
-                f"{len(clusters)} traps"
-            )
-        pos = layout_positions(code)
-        assignment = self._assign(code, clusters, pos, device)
-        qubit_to_trap: dict[int, int] = {}
-        trap_chains: dict[int, list[int]] = {}
-        for cluster_idx, trap_id in assignment:
-            cluster = clusters[cluster_idx]
-            chain = sorted(cluster, key=lambda q: (pos[q][0], pos[q][1]))
-            trap_chains[trap_id] = chain
-            for q in cluster:
-                qubit_to_trap[q] = trap_id
-        return Placement(device, qubit_to_trap, trap_chains)
-
-    def _assign(
-        self,
-        code: StabilizerCode,
-        clusters: list[list[int]],
-        pos: dict[int, tuple[float, float]],
-        device: QCCDDevice,
-    ) -> list[tuple[int, int]]:
-        """Return ``(cluster_index, trap_id)`` pairs, one per cluster."""
-        raise NotImplementedError
+            f"cannot place {code.name} code with {code.num_qubits} qubits "
+            f"(distance {code.distance}) on a {len(device.traps)}-trap "
+            f"device at trap capacity {capacity}: {len(clusters)} clusters "
+            f"of up to {capacity - 1} resident ion(s) need "
+            f"{len(clusters)} traps"
+        )
+    pos = layout_positions(code)
+    traps = device.traps
+    # Normalise both point sets to the unit square so the metric is
+    # scale-free, then assign at minimum total squared distance.
+    cost = _assignment_cost(
+        _centroids(clusters, pos), np.array([t.pos for t in traps])
+    )
+    rows, cols = linear_sum_assignment(cost)
+    qubit_to_trap: dict[int, int] = {}
+    trap_chains: dict[int, list[int]] = {}
+    for cluster_idx, trap_idx in zip(rows, cols):
+        cluster = clusters[cluster_idx]
+        trap_id = traps[trap_idx].id
+        trap_chains[trap_id] = sorted(cluster, key=lambda q: (pos[q][0], pos[q][1]))
+        for q in cluster:
+            qubit_to_trap[q] = trap_id
+    return Placement(device, qubit_to_trap, trap_chains)
 
 
 def _centroids(
@@ -254,97 +196,6 @@ def _centroids(
             for cluster in clusters
         ]
     )
-
-
-@register_placer("projection")
-class ProjectionPlacer(PlacementStrategy):
-    """Global geometric projection: Hungarian-match centroids to traps."""
-
-    def _assign(self, code, clusters, pos, device):
-        centroids = _centroids(clusters, pos)
-        traps = device.traps
-        trap_pos = np.array([t.pos for t in traps])
-        # Normalise both point sets to the unit square so the metric is
-        # scale-free, then assign at minimum total squared distance.
-        cost = _assignment_cost(centroids, trap_pos)
-        rows, cols = linear_sum_assignment(cost)
-        return [
-            (cluster_idx, traps[trap_idx].id)
-            for cluster_idx, trap_idx in zip(rows, cols)
-        ]
-
-
-@register_placer("window")
-class WindowPlacer(PlacementStrategy):
-    """Incremental placement of interacting clusters (Enola-style).
-
-    The cluster interaction graph inherits the code's layer-weighted
-    qubit interaction graph (earlier entanglement → heavier edge).  The
-    heaviest cluster seeds at its geometrically nearest trap; every
-    subsequent step places the unplaced cluster most connected to the
-    placed window onto the free trap minimising interaction-weighted
-    distance to its placed neighbours (geometric distance to its own
-    centroid breaks ties, so isolated clusters still land sensibly).
-    """
-
-    def _assign(self, code, clusters, pos, device):
-        k = len(clusters)
-        cluster_of = {q: i for i, cluster in enumerate(clusters) for q in cluster}
-        weight = np.zeros((k, k))
-        for (a, b), w in code.interaction_graph().items():
-            ca, cb = cluster_of.get(a), cluster_of.get(b)
-            if ca is None or cb is None or ca == cb:
-                continue
-            weight[ca, cb] += w
-            weight[cb, ca] += w
-
-        traps = device.traps
-        norm_centroids = _normalise(_centroids(clusters, pos))
-        norm_traps = _normalise(np.array([t.pos for t in traps]))
-
-        def trap_dist(i: int, j: int) -> float:
-            return float(np.linalg.norm(norm_traps[i] - norm_traps[j]))
-
-        placed: dict[int, int] = {}  # cluster index -> trap index
-        free = set(range(len(traps)))
-        order: list[tuple[int, int]] = []
-        while len(placed) < k:
-            if placed:
-                # Most connected to the current window; index breaks ties.
-                cluster = max(
-                    (c for c in range(k) if c not in placed),
-                    key=lambda c: (sum(weight[c, p] for p in placed), -c),
-                )
-            else:
-                cluster = max(range(k), key=lambda c: (weight[c].sum(), -c))
-            anchors = [(p, weight[cluster, p]) for p in placed if weight[cluster, p] > 0]
-            trap_idx = min(
-                free,
-                key=lambda t: (
-                    sum(w * trap_dist(t, placed[p]) for p, w in anchors),
-                    float(np.linalg.norm(norm_traps[t] - norm_centroids[cluster])),
-                    t,
-                ),
-            )
-            placed[cluster] = trap_idx
-            free.discard(trap_idx)
-            order.append((cluster, traps[trap_idx].id))
-        return order
-
-
-def place(
-    code: StabilizerCode,
-    capacity: int,
-    topology: str,
-    placer: str = "projection",
-    device: QCCDDevice | None = None,
-) -> Placement:
-    """Cluster qubits, build the device, assign clusters to traps.
-
-    ``placer`` selects the :class:`PlacementStrategy` by registry name;
-    the default reproduces the paper's Hungarian projection exactly.
-    """
-    return placer_by_name(placer)().place(code, capacity, topology, device=device)
 
 
 def _assignment_cost(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:

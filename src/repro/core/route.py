@@ -72,7 +72,11 @@ class GreedyRouter(RoutingStrategy):
             if progressed == 0:
                 stall_guard += 1
                 if stall_guard > 25 or not self._force_unblock():
-                    raise self._deadlock_error()
+                    # Last resort: drain full traps however far their
+                    # escape; only a drain that moves nothing deadlocks.
+                    if self._drain_overfull() == 0:
+                        raise self._deadlock_error()
+                    stall_guard = 0
             else:
                 stall_guard = 0
         # Final cleanup restores the fill invariant unconditionally so

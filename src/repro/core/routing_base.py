@@ -1,4 +1,4 @@
-"""Routing substrate and the compiler strategy registries.
+"""Routing substrate and the routing-strategy registry.
 
 The router monolith is split into a shared substrate and pluggable
 strategies.  :class:`RoutingStrategy` owns everything every router
@@ -32,15 +32,11 @@ batched and ordered each pass.  Today's strategies:
   multi-pass priority-order router, unchanged;
 - ``layered`` (:class:`repro.core.route_layered.LayeredRouter`) —
   gates bucketed into dependency layers, movement batched per layer
-  through a priority queue (Surface_Code_Routing-style);
-- ``parallel`` (:class:`repro.core.route_parallel.ParallelRouter`) —
-  per-phase conflict-graph independent-set selection of compatible
-  moves (Enola-style MIS routing).
+  through a priority queue (Surface_Code_Routing-style).
 
-Placement strategies live in :mod:`repro.core.place` behind the same
-registry pattern (``projection`` and ``window``).  Both registries are
-swept as first-class grid axes by the engine
-(:class:`repro.engine.SweepSpec` ``routers`` / ``placers``).
+The registry is swept as a grid axis by the engine
+(:class:`repro.engine.SweepSpec` ``routers``).  Placement has one
+scheme, the paper's projection (:func:`repro.core.place.place`).
 """
 
 from __future__ import annotations
@@ -430,11 +426,11 @@ class RoutingStrategy:
     def _drain_overfull(self) -> int:
         """Fill-invariant restoration with the nearby-only bound lifted.
 
-        Stall escalation for strategies that batch movement (layered /
-        parallel): their restricted per-pass movement can let full traps
-        accumulate until every escape exceeds the routine restoration
-        bound, walling off a corridor.  Paying for distant evictions
-        beats deadlocking.
+        Stall escalation, for every strategy: restricted per-pass
+        movement (layered batches it per layer; greedy can stall once
+        forced unblocking runs out) can let full traps accumulate until
+        every escape exceeds the routine restoration bound, walling off
+        a corridor.  Paying for distant evictions beats deadlocking.
         """
         self._strict_restore = True
         try:

@@ -12,13 +12,13 @@ from .ir import CompiledProgram, QccdOp
 
 
 def _strategy_tag(program: CompiledProgram) -> str:
-    """Header suffix naming the strategies that produced a program.
+    """Header suffix naming the routing strategy that produced a program.
 
     Routing traces from different strategies are otherwise
     indistinguishable once rendered — the tag makes side-by-side
     comparisons self-describing.
     """
-    return f" [router={program.router} placer={program.placer}]"
+    return f" [router={program.router}]"
 
 
 def format_ion_timeline(

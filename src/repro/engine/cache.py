@@ -7,11 +7,11 @@ every shot shard).  The cache keys compiled artefacts
 by a stable hash of the circuit *text* — the same serialisation that
 round-trips through :mod:`repro.sim.text_format` — so identical
 circuits hit regardless of how they were built.  Content addressing is
-also what keeps the cache correct across compilation strategies: jobs
-differing in ``router`` / ``placer`` compile different circuits and
-hash to different keys automatically, while strategies that happen to
-produce identical circuits share one entry — no strategy field is (or
-needs to be) part of the key.
+also what keeps the cache correct across routing strategies: jobs
+differing in ``router`` compile different circuits and hash to
+different keys automatically, while routers that happen to produce
+identical circuits share one entry — no strategy field is (or needs
+to be) part of the key.
 
 Two layers:
 

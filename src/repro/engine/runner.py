@@ -232,7 +232,6 @@ def compile_design_point(
         rounds=job.rounds,
         basis=job.basis,
         router=job.router,
-        placer=job.placer,
     )
     program = QccdCompiler(config).compile()
     resources = wiring_method.resources(program.device)
@@ -243,7 +242,6 @@ def compile_design_point(
         "topology": job.topology,
         "wiring": wiring_method.name,
         "router": job.router,
-        "placer": job.placer,
         "gate_improvement": job.gate_improvement,
         "rounds": job.rounds,
         "round_time_us": program.stats.round_time_us,

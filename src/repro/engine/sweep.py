@@ -26,7 +26,8 @@ _BASES = ("X", "Z")
 
 class ForeignJobRecord(ValueError):
     """A well-formed job record this engine does not sample: one drawn
-    by the removed frame sampler, or from before the DEM sampler."""
+    by the removed frame sampler, from before the DEM sampler, or
+    compiled with a removed placement strategy."""
 
 
 @dataclass(frozen=True)
@@ -61,13 +62,11 @@ class SweepJob:
     # Adaptive precision stopping (see above); excluded from the key
     # hash when unset, so keys from before it existed carry over.
     target_rel_stderr: float | None = None
-    # Compilation strategy axes (see repro.core.routing_base and
-    # repro.core.place): the routing and placement strategies used to
-    # compile this design point.  Excluded from the key hash when
+    # Routing strategy (see repro.core.routing_base) used to compile
+    # this design point.  Excluded from the key hash when
     # default-valued, so keys from before the strategy layer carry
     # over.
     router: str = "greedy"
-    placer: str = "projection"
 
     @property
     def adaptive(self) -> bool:
@@ -98,7 +97,6 @@ class SweepJob:
             self.rounds,
             self.basis,
             self.router,
-            self.placer,
         )
 
     @property
@@ -117,8 +115,6 @@ class SweepJob:
             del content["target_rel_stderr"]
         if self.router == "greedy":
             del content["router"]
-        if self.placer == "projection":
-            del content["placer"]
         payload = json.dumps(content, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(payload.encode()).hexdigest()[:12]
         budget = f"n{self.shots}"
@@ -129,13 +125,9 @@ class SweepJob:
             if self.target_rel_stderr is not None:
                 goals.append(f"rse{self.target_rel_stderr:g}")
             budget = f"n{self.shots}-{'-'.join(goals)}of{self.max_shots}"
-        # Non-default strategies surface in the label (default-strategy
+        # A non-default router surfaces in the label (default-router
         # labels — like their hashes — are byte-for-byte pre-strategy).
-        strategy = ""
-        if self.router != "greedy":
-            strategy += f"-{self.router}"
-        if self.placer != "projection":
-            strategy += f"-{self.placer}"
+        strategy = f"-{self.router}" if self.router != "greedy" else ""
         return (
             f"{self.code}-d{self.distance}-c{self.capacity}-{self.topology}"
             f"-{self.wiring}{strategy}-x{self.gate_improvement:g}-{self.decoder}"
@@ -161,12 +153,19 @@ class SweepJob:
         ``"sampler": "dem"``: a frame-sampled record (or one from before
         the DEM sampler, which has no sampler field) would otherwise
         come back as a DEM job with the DEM job's key, and resume would
-        credit its counts to an experiment that never ran.
+        credit its counts to an experiment that never ran.  For the
+        same reason it refuses a record whose ``"placer"`` names a
+        removed placement strategy; older records carrying
+        ``"placer": "projection"`` load under their old key.
         """
         if data.get("sampler") != "dem":
             raise ForeignJobRecord(
                 f"not a DEM-sampled job record (sampler="
                 f"{data.get('sampler')!r})")
+        if data.get("placer", "projection") != "projection":
+            raise ForeignJobRecord(
+                f"job record placed by a removed strategy "
+                f"(placer={data['placer']!r})")
         names = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in names})
 
@@ -205,14 +204,13 @@ class SweepSpec:
     # relative standard error of its per-shot LER estimate falls below
     # this bound (e.g. 0.1 for ~10% error bars).
     target_rel_stderr: float | None = None
-    # Compilation strategy axes: routing and placement strategies to
-    # grid over (names resolved against the repro.core registries).
+    # Routing strategies to grid over (names resolved against the
+    # repro.core router registry).
     routers: tuple[str, ...] = ("greedy",)
-    placers: tuple[str, ...] = ("projection",)
 
     def __post_init__(self):
         for name in ("distances", "capacities", "topologies", "wirings",
-                     "gate_improvements", "decoders", "routers", "placers"):
+                     "gate_improvements", "decoders", "routers"):
             value = tuple(getattr(self, name))
             if not value:
                 raise ValueError(f"{name} must be non-empty")
@@ -234,21 +232,16 @@ class SweepSpec:
         if self.basis not in _BASES:
             raise ValueError(
                 f"unknown basis {self.basis!r}; expected one of {_BASES}")
-        # Strategy names validate against the live registries (local
-        # import: the spec layer stays cheap to import, and strategies
+        # Router names validate against the live registry (local
+        # import: the spec layer stays cheap to import, and routers
         # registered by user code are honoured).
-        from ..core import available_placers, available_routers
+        from ..core import available_routers
 
         for router in self.routers:
             if router not in available_routers():
                 raise ValueError(
                     f"unknown router {router!r}; expected one of "
                     f"{available_routers()}")
-        for placer in self.placers:
-            if placer not in available_placers():
-                raise ValueError(
-                    f"unknown placer {placer!r}; expected one of "
-                    f"{available_placers()}")
         if any(d < 2 for d in self.distances):
             raise ValueError("distances must be >= 2")
         # Checked here, not when the job compiles: a bad value would
@@ -289,7 +282,7 @@ class SweepSpec:
     def num_jobs(self) -> int:
         return (
             len(self.distances) * len(self.capacities) * len(self.topologies)
-            * len(self.wirings) * len(self.routers) * len(self.placers)
+            * len(self.wirings) * len(self.routers)
             * len(self.gate_improvements) * len(self.decoders)
         )
 
@@ -301,24 +294,22 @@ class SweepSpec:
                 for topo in self.topologies:
                     for wiring in self.wirings:
                         for router in self.routers:
-                            for placer in self.placers:
-                                for improvement in self.gate_improvements:
-                                    for decoder in self.decoders:
-                                        jobs.append(SweepJob(
-                                            code=self.code,
-                                            distance=d,
-                                            capacity=cap,
-                                            topology=topo,
-                                            wiring=wiring,
-                                            gate_improvement=improvement,
-                                            decoder=decoder,
-                                            rounds=self.rounds if self.rounds is not None else d,
-                                            shots=self.shots,
-                                            basis=self.basis,
-                                            target_failures=self.target_failures,
-                                            max_shots=self.max_shots,
-                                            target_rel_stderr=self.target_rel_stderr,
-                                            router=router,
-                                            placer=placer,
-                                        ))
+                            for improvement in self.gate_improvements:
+                                for decoder in self.decoders:
+                                    jobs.append(SweepJob(
+                                        code=self.code,
+                                        distance=d,
+                                        capacity=cap,
+                                        topology=topo,
+                                        wiring=wiring,
+                                        gate_improvement=improvement,
+                                        decoder=decoder,
+                                        rounds=self.rounds if self.rounds is not None else d,
+                                        shots=self.shots,
+                                        basis=self.basis,
+                                        target_failures=self.target_failures,
+                                        max_shots=self.max_shots,
+                                        target_rel_stderr=self.target_rel_stderr,
+                                        router=router,
+                                    ))
         return jobs

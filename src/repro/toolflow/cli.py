@@ -11,8 +11,7 @@ Usage examples::
         --decoders mwpm union_find --topologies grid switch \\
         --shots 2000 --target-failures 100 --max-shots 200000
     python -m repro.toolflow.cli sweep --distances 3 5 \\
-        --routers greedy layered parallel --placers projection window \\
-        --topology grid --csv strategies.csv
+        --routers greedy layered --topology grid --csv strategies.csv
     python -m repro.toolflow.cli sweep --distances 3 5 --shots 20000 \\
         --backend remote --workers-addr host1:7930,host2:7930 \\
         --results sweep.jsonl
@@ -33,14 +32,14 @@ import argparse
 import csv
 import sys
 
-from ..core import available_placers, available_routers
+from ..core import available_routers
 from ..engine.runner import DEFAULT_SHARD_SHOTS
 from ..ler.projection import fit_projection
 from .explorer import DesignSpaceExplorer
 from .report import format_table
 
 _RECORD_COLUMNS = [
-    "code", "d", "cap", "topo", "wiring", "router", "placer", "improve",
+    "code", "d", "cap", "topo", "wiring", "router", "improve",
     "round_us", "move_ops", "electrodes", "dacs", "Gbit/s", "W", "ler_round",
 ]
 
@@ -55,9 +54,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--router", default="greedy",
                         choices=list(available_routers()),
                         help="routing strategy (see repro.core.routing_base)")
-    parser.add_argument("--placer", default="projection",
-                        choices=list(available_placers()),
-                        help="placement strategy (see repro.core.place)")
     parser.add_argument("--improvement", type=float, default=1.0)
     parser.add_argument("--rounds", type=int, default=None)
     parser.add_argument("--shots", type=int, default=0,
@@ -83,7 +79,6 @@ def _evaluate_records(args, distances, capacities):
                     shots=args.shots,
                     decoder=args.decoder,
                     router=args.router,
-                    placer=args.placer,
                 )
             )
     return records
@@ -167,7 +162,6 @@ def cmd_sweep(args) -> int:
         topologies=tuple(args.topologies or [args.topology]),
         wirings=tuple(args.wirings or [args.wiring]),
         routers=tuple(args.routers or [args.router]),
-        placers=tuple(args.placers or [args.placer]),
         gate_improvements=tuple(args.improvements or [args.improvement]),
         decoders=tuple(args.decoders or [args.decoder]),
         rounds=args.rounds,
@@ -263,9 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--routers", nargs="+", default=None,
                          choices=list(available_routers()),
                          help="routing-strategy grid axis (default: --router)")
-    p_sweep.add_argument("--placers", nargs="+", default=None,
-                         choices=list(available_placers()),
-                         help="placement-strategy grid axis (default: --placer)")
     p_sweep.add_argument("--improvements", type=float, nargs="+", default=None,
                          help="gate-improvement grid axis (default: --improvement)")
     p_sweep.add_argument("--decoders", nargs="+", default=None,

@@ -8,7 +8,7 @@ sweep helpers drive the figure-level experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..arch.wiring import WiringMethod, wiring_by_name
 from ..engine.runner import Runner, compile_design_point
@@ -19,10 +19,19 @@ from ..noise.parameters import DEFAULT_NOISE, NoiseParameters
 from .records import EvaluationRecord
 
 
+_RECORD_FIELDS = frozenset(f.name for f in fields(EvaluationRecord))
+
+
 def record_from_job_result(result) -> EvaluationRecord:
     """Rebuild an :class:`EvaluationRecord` from an engine
-    :class:`repro.engine.JobResult` (fresh or resumed from a store)."""
-    record = EvaluationRecord(**result.metrics)
+    :class:`repro.engine.JobResult` (fresh or resumed from a store).
+
+    Metrics the record no longer has are dropped: a resumed store line
+    may carry one that an older version recorded.
+    """
+    record = EvaluationRecord(
+        **{k: v for k, v in result.metrics.items() if k in _RECORD_FIELDS}
+    )
     record.extras.update(result.extras)
     record.extras["decoder"] = result.job.decoder
     record.extras["job_key"] = result.job.key
@@ -55,7 +64,6 @@ class DesignSpaceExplorer:
         decoder: str = "mwpm",
         basis: str = "Z",
         router: str = "greedy",
-        placer: str = "projection",
     ) -> EvaluationRecord:
         """Run one design point through the Figure-2 pipeline."""
         wiring_method = (
@@ -74,7 +82,6 @@ class DesignSpaceExplorer:
             shots=shots,
             basis=basis,
             router=router,
-            placer=placer,
         )
         artifacts = compile_design_point(
             job, self.noise, need_circuit=shots > 0, wiring_method=wiring_method

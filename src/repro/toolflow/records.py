@@ -22,10 +22,9 @@ class EvaluationRecord:
     gate_improvement: float
     rounds: int
 
-    # Compilation strategies (default-valued so records stored before
-    # the strategy layer still deserialise)
+    # Routing strategy (default-valued so records stored before the
+    # strategy layer still deserialise)
     router: str = "greedy"
-    placer: str = "projection"
 
     # Compiler metrics
     round_time_us: float = 0.0
@@ -63,7 +62,6 @@ class EvaluationRecord:
             "topo": self.topology,
             "wiring": self.wiring,
             "router": self.router,
-            "placer": self.placer,
             "improve": self.gate_improvement,
             "round_us": round(self.round_time_us, 1),
             "move_ops": self.movement_ops,

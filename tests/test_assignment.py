@@ -95,7 +95,7 @@ def test_partly_infinite_matrices(cost):
 @pytest.mark.parametrize("capacity", [2, 5, 12])
 @pytest.mark.parametrize("distance", [3, 5, 7])
 def test_placement_cost_matrices(distance, capacity, topology):
-    """The matrices ``ProjectionPlacer`` solves, built the way it does."""
+    """The matrices ``place()`` solves, built the way it does."""
     code = RotatedSurfaceCode(distance)
     device, clusters = build_device_for(code, capacity, topology)
     centroids = _centroids(clusters, layout_positions(code))

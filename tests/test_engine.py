@@ -1028,8 +1028,62 @@ class TestSamplerSelection:
 
     def test_job_record_line_format_and_key_are_stable(self):
         job = SweepJob.from_dict(json.loads(self.RECORD))
-        assert json.dumps(job.to_dict()) == self.RECORD
+        # Re-serialised, the line loses only its "placer" entry: jobs
+        # no longer carry one (placement has a single scheme).
+        assert json.dumps(job.to_dict()) == self.RECORD.replace(
+            ', "placer": "projection"', "")
         assert job.key == self.KEY
+
+    def test_from_dict_refuses_removed_placers(self):
+        window = {**json.loads(self.RECORD), "placer": "window"}
+        with pytest.raises(ValueError, match="removed strategy"):
+            SweepJob.from_dict(window)
+        unplaced = json.loads(self.RECORD)
+        del unplaced["placer"]
+        assert SweepJob.from_dict(unplaced).key == self.KEY
+
+    def test_store_never_credits_a_removed_placer_record(self, tmp_path):
+        # A record of the same design point compiled with the removed
+        # "window" placer: rebuilt as a projection job it would hand
+        # its failure count to that job on resume.  The sweep must run
+        # the job afresh, match an empty store, and keep the line.
+        spec = small_spec(distances=(2,))
+        [fresh] = run_sweep(spec, results_path=str(tmp_path / "a.jsonl"),
+                            shard_shots=SHARD)
+        [line] = (tmp_path / "a.jsonl").read_text().splitlines()
+        window = json.loads(line)
+        window["job"]["placer"] = "window"
+        window["metrics"]["placer"] = "window"
+        window["failures"] = SHOTS
+        window = json.dumps(window)
+        path = tmp_path / "r.jsonl"
+        path.write_text(window + "\n")
+        assert ResultStore(str(path)).load() == {}
+        [rerun] = run_sweep(spec, results_path=str(path), shard_shots=SHARD)
+        assert not rerun.resumed
+        assert rerun.key == fresh.key
+        assert (rerun.shots, rerun.failures) == (fresh.shots, fresh.failures)
+        assert fresh.failures != SHOTS
+        assert path.read_text().splitlines()[0] == window
+
+    def test_older_projection_records_resume_under_their_key(self, tmp_path):
+        # Lines written while jobs carried "placer": "projection" (in
+        # the job and in its metrics) resume, and rebuild as records.
+        from repro.toolflow import DesignSpaceExplorer
+
+        spec = small_spec(distances=(2,))
+        path = tmp_path / "r.jsonl"
+        [fresh] = run_sweep(spec, results_path=str(path), shard_shots=SHARD)
+        [line] = path.read_text().splitlines()
+        older = json.loads(line)
+        older["job"]["placer"] = "projection"
+        older["metrics"]["placer"] = "projection"
+        path.write_text(json.dumps(older) + "\n")
+        [record] = DesignSpaceExplorer().sweep(
+            spec, results_path=str(path), shard_shots=SHARD)
+        assert record.extras["job_key"] == fresh.key
+        assert (record.shots, record.failures) == (fresh.shots, fresh.failures)
+        assert path.read_text().splitlines() == [json.dumps(older)]
 
     def test_from_dict_rejects_non_dem_records(self):
         frame = {**json.loads(self.RECORD), "sampler": "frame"}

@@ -139,10 +139,6 @@ class TestPlacement:
         assert "4-trap" in message
         assert code.name in message
 
-    def test_unknown_placer_rejected(self):
-        with pytest.raises(ValueError, match="unknown placer"):
-            place(RotatedSurfaceCode(3), 2, "grid", placer="bogus")
-
     def test_grid_cap2_preserves_adjacency(self):
         """Neighbouring code qubits land on neighbouring traps."""
         code = RotatedSurfaceCode(3)

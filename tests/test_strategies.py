@@ -2,18 +2,19 @@
 
 Three layers of guarantees:
 
-1. **Bit-identity** — the default ``greedy`` router / ``projection``
-   placer must reproduce the pre-strategy-layer compiler exactly.  The
+1. **Bit-identity** — the default ``greedy`` router with the
+   projection placement must reproduce the pre-strategy-layer compiler
+   exactly.  The
    golden constants below (makespan, op counts, op-stream hash, SweepJob
    keys) were captured from the monolithic router and ``place()``
    immediately before the refactor; nothing about the strategy layer may
    move them.  The stim circuit hashes were re-recorded when noise
    arguments began to print as their exact round-trip text.
-2. **Registries** — strategies resolve by name everywhere a name can be
+2. **Registry** — routers resolve by name everywhere a name can be
    given (compiler config, sweep spec, CLI), and unknown names fail
    with the available set in the message.
-3. **Shared invariants** — every registered router x placer combination
-   must produce physically legal programs: hardware constraints hold
+3. **Shared invariants** — every registered router must produce
+   physically legal programs: hardware constraints hold
    under op-by-op replay, every two-qubit gate executes co-located,
    every gate is sequenced exactly once, the final state restores the
    fill invariant, and the derived schedule respects op dependencies
@@ -31,15 +32,11 @@ from repro.codes import RepetitionCode, RotatedSurfaceCode
 from repro.core import (
     CompilerConfig,
     GreedyRouter,
-    ProjectionPlacer,
     QccdCompiler,
-    WindowPlacer,
-    available_placers,
     available_routers,
     build_gate_dag,
     compile_memory_experiment,
     place,
-    placer_by_name,
     program_to_circuit,
     router_by_name,
     schedule,
@@ -112,9 +109,9 @@ class TestDefaultBitIdentity:
 
     def test_default_config_uses_default_strategies(self):
         cfg = CompilerConfig(code=RotatedSurfaceCode(2))
-        assert cfg.router == "greedy" and cfg.placer == "projection"
+        assert cfg.router == "greedy"
         program = QccdCompiler(cfg).compile()
-        assert program.router == "greedy" and program.placer == "projection"
+        assert program.router == "greedy"
 
     @pytest.mark.parametrize("job,key", GOLDEN_KEYS, ids=lambda v: str(v)[:40])
     def test_sweep_job_keys_unchanged(self, job, key):
@@ -125,43 +122,34 @@ class TestDefaultBitIdentity:
     def test_non_default_strategies_change_the_key(self):
         base, key = GOLDEN_KEYS[0]
         routed = SweepJob.from_dict({**base.to_dict(), "router": "layered"})
-        placed = SweepJob.from_dict({**base.to_dict(), "placer": "window"})
         assert routed.key != key and "layered" in routed.key
-        assert placed.key != key and "window" in placed.key
 
     def test_from_dict_defaults_old_stores_to_pre_refactor_strategies(self):
         base, _ = GOLDEN_KEYS[0]
         data = base.to_dict()
-        del data["router"], data["placer"]
+        del data["router"]
         job = SweepJob.from_dict(data)
-        assert job.router == "greedy" and job.placer == "projection"
+        assert job.router == "greedy"
         assert job.key == GOLDEN_KEYS[0][1]
 
 
 class TestRegistries:
     def test_expected_strategies_registered(self):
-        assert {"greedy", "layered", "parallel"} <= set(available_routers())
-        assert {"projection", "window"} <= set(available_placers())
+        assert {"greedy", "layered"} <= set(available_routers())
 
     def test_lookup_by_name(self):
         assert router_by_name("greedy") is GreedyRouter
-        assert placer_by_name("projection") is ProjectionPlacer
-        assert placer_by_name("window") is WindowPlacer
         for name in available_routers():
             assert router_by_name(name).name == name
-        for name in available_placers():
-            assert placer_by_name(name).name == name
 
     def test_unknown_names_list_available(self):
         with pytest.raises(ValueError, match="greedy"):
             router_by_name("bogus")
-        with pytest.raises(ValueError, match="projection"):
-            placer_by_name("bogus")
 
 
 # ----------------------------------------------------------------------
-# Shared invariant harness: every strategy combination must produce a
-# physically legal program.
+# Shared invariant harness: every router must produce a physically
+# legal program.
 # ----------------------------------------------------------------------
 INVARIANT_CONFIGS = [
     (RotatedSurfaceCode(2), 2, "grid"),
@@ -172,17 +160,13 @@ INVARIANT_CONFIGS = [
     (RepetitionCode(4), 3, "linear"),
 ]
 
-ALL_STRATEGIES = [
-    (router, placer)
-    for router in ("greedy", "layered", "parallel")
-    for placer in ("projection", "window")
-]
+ALL_STRATEGIES = ["greedy", "layered"]
 
 
-def _compile_with(code, cap, topo, router, placer, rounds=2):
+def _compile_with(code, cap, topo, router, rounds=2):
     cfg = CompilerConfig(
         code=code, trap_capacity=cap, topology=topo, rounds=rounds,
-        router=router, placer=placer,
+        router=router,
     )
     compiler = QccdCompiler(cfg)
     return compiler.compile(), compiler.placement()
@@ -204,22 +188,22 @@ def _assert_program_invariants(program, placement, gates):
             assert start[op.id] >= dep_end - 1e-9, (op.id, dep)
 
 
-@pytest.mark.parametrize("router,placer", ALL_STRATEGIES, ids=lambda v: str(v))
+@pytest.mark.parametrize("router", ALL_STRATEGIES)
 @pytest.mark.parametrize(
     "code,cap,topo", INVARIANT_CONFIGS, ids=lambda v: str(v)
 )
-def test_all_strategies_satisfy_shared_invariants(code, cap, topo, router, placer):
-    program, placement = _compile_with(code, cap, topo, router, placer)
+def test_all_strategies_satisfy_shared_invariants(code, cap, topo, router):
+    program, placement = _compile_with(code, cap, topo, router)
     gates = build_gate_dag(code, 2)
     _assert_program_invariants(program, placement, gates)
-    assert program.router == router and program.placer == placer
+    assert program.router == router
 
 
-@pytest.mark.parametrize("router,placer", ALL_STRATEGIES, ids=lambda v: str(v))
-def test_final_state_restores_fill_invariant(router, placer):
+@pytest.mark.parametrize("router", ALL_STRATEGIES)
+def test_final_state_restores_fill_invariant(router):
     code = RotatedSurfaceCode(3)
     gates = build_gate_dag(code, 2)
-    placement = place(code, 2, "grid", placer=placer)
+    placement = place(code, 2, "grid")
     strategy = router_by_name(router)(code, placement, gates, DEFAULT_TIMES)
     strategy.run()
     for trap, chain in strategy.chains.items():
@@ -228,23 +212,30 @@ def test_final_state_restores_fill_invariant(router, placer):
         assert placement.device.component(loc).is_trap
 
 
+def test_greedy_drains_full_traps_instead_of_deadlocking():
+    """d=5 linear at rounds 3 stalls the greedy router once forced
+    unblocking runs out; draining full traps must get it through."""
+    code = RotatedSurfaceCode(5)
+    program, placement = _compile_with(code, 2, "linear", "greedy", rounds=3)
+    _assert_program_invariants(program, placement, build_gate_dag(code, 3))
+    assert program.stats.makespan_us == 337320.0
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     distance=st.integers(min_value=2, max_value=3),
     capacity=st.integers(min_value=2, max_value=4),
     topology=st.sampled_from(["grid", "linear", "switch"]),
-    router=st.sampled_from(["greedy", "layered", "parallel"]),
-    placer=st.sampled_from(["projection", "window"]),
+    router=st.sampled_from(["greedy", "layered"]),
 )
 def test_property_invariants_hold_for_any_strategy(
-    distance, capacity, topology, router, placer
+    distance, capacity, topology, router
 ):
-    """Property harness: any registered strategy combination, on any
-    small design point, yields a legal, complete, dependency-respecting
-    program."""
+    """Property harness: any registered router, on any small design
+    point, yields a legal, complete, dependency-respecting program."""
     code = RotatedSurfaceCode(distance)
     program, placement = _compile_with(
-        code, capacity, topology, router, placer, rounds=1
+        code, capacity, topology, router, rounds=1
     )
     gates = build_gate_dag(code, 1)
     _assert_program_invariants(program, placement, gates)
@@ -256,11 +247,10 @@ class TestEngineThreading:
 
         job = SweepJob(
             "rotated_surface", 2, 2, "grid", "standard", 1.0, "mwpm", 1, 0,
-            router="parallel", placer="window",
+            router="layered",
         )
         artifacts = compile_design_point(job, DEFAULT_NOISE, need_circuit=False)
-        assert artifacts.metrics["router"] == "parallel"
-        assert artifacts.metrics["placer"] == "window"
+        assert artifacts.metrics["router"] == "layered"
 
     def test_strategies_produce_distinct_circuits_when_routing_differs(self):
         """The compilation cache needs no strategy field in its key:
