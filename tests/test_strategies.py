@@ -28,7 +28,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import DEFAULT_TIMES
-from repro.codes import RepetitionCode, RotatedSurfaceCode
+from repro.codes import (
+    RepetitionCode,
+    RotatedSurfaceCode,
+    UnrotatedSurfaceCode,
+)
 from repro.core import (
     CompilerConfig,
     GreedyRouter,
@@ -158,9 +162,37 @@ INVARIANT_CONFIGS = [
     (RotatedSurfaceCode(3), 2, "switch"),
     (RotatedSurfaceCode(3), 3, "grid"),
     (RepetitionCode(4), 3, "linear"),
+    # The capacities the route goldens pin (5 and 12) on every topology.
+    (RotatedSurfaceCode(3), 5, "grid"),
+    (RotatedSurfaceCode(3), 5, "linear"),
+    (RotatedSurfaceCode(3), 5, "switch"),
+    (RotatedSurfaceCode(3), 12, "grid"),
+    (RotatedSurfaceCode(3), 12, "linear"),
+    (RotatedSurfaceCode(3), 12, "switch"),
+    # Even distance and d=5 at capacity 2 on every topology.
+    (RotatedSurfaceCode(4), 2, "grid"),
+    (RotatedSurfaceCode(4), 2, "linear"),
+    (RotatedSurfaceCode(4), 2, "switch"),
+    (RotatedSurfaceCode(5), 2, "grid"),
+    (RotatedSurfaceCode(5), 2, "linear"),
+    (RotatedSurfaceCode(5), 2, "switch"),
+    # The other code families on every topology.
+    (UnrotatedSurfaceCode(2), 2, "grid"),
+    (UnrotatedSurfaceCode(2), 2, "linear"),
+    (UnrotatedSurfaceCode(2), 2, "switch"),
+    (UnrotatedSurfaceCode(3), 3, "switch"),
+    (RepetitionCode(5), 2, "grid"),
+    (RepetitionCode(5), 2, "switch"),
 ]
 
 ALL_STRATEGIES = ["greedy", "layered"]
+
+
+def _config_id(value):
+    if isinstance(value, (RepetitionCode, RotatedSurfaceCode,
+                          UnrotatedSurfaceCode)):
+        return f"{value.name}-d{value.distance}"
+    return str(value)
 
 
 def _compile_with(code, cap, topo, router, rounds=2):
@@ -189,9 +221,7 @@ def _assert_program_invariants(program, placement, gates):
 
 
 @pytest.mark.parametrize("router", ALL_STRATEGIES)
-@pytest.mark.parametrize(
-    "code,cap,topo", INVARIANT_CONFIGS, ids=lambda v: str(v)
-)
+@pytest.mark.parametrize("code,cap,topo", INVARIANT_CONFIGS, ids=_config_id)
 def test_all_strategies_satisfy_shared_invariants(code, cap, topo, router):
     program, placement = _compile_with(code, cap, topo, router)
     gates = build_gate_dag(code, 2)
