@@ -92,24 +92,6 @@ class StabilizerCode:
         return [c for c in self.checks if c.basis == basis]
 
     # ------------------------------------------------------------------
-    def interaction_graph(self) -> dict[tuple[int, int], int]:
-        """Qubit interactions weighted by how early each one happens.
-
-        Maps ``(ancilla, data)`` to the summed weight (num_layers -
-        layer) of the CX layers joining the pair, so first-layer
-        interactions carry the highest weight; the partitioner then
-        avoids cutting them (paper Sec. 4.2).
-        """
-        weights: dict[tuple[int, int], int] = {}
-        layers = self.num_layers
-        for check in self.checks:
-            for layer, data in enumerate(check.data_by_layer):
-                if data is not None:
-                    key = (check.ancilla, data)
-                    weights[key] = weights.get(key, 0) + layers - layer
-        return weights
-
-    # ------------------------------------------------------------------
     def _validate(self) -> None:
         indices = [q.index for q in self.qubits]
         if indices != list(range(len(indices))):

@@ -17,7 +17,18 @@ needs regardless of *policy*:
   first relaxation of the destination is final; and the detour test
   bounds a path's :meth:`~RoutingStrategy._path_cost`, whose terms are
   each at least the search's own, so once a popped cost plus the
-  destination's step passes that bound, no path can pass the test;
+  destination's step passes that bound, no path can pass the test.
+  Most such queries are answered without a search at all:
+
+  - *static path*: the path the same search takes on the empty device
+    is the answer whenever every component on it is admissible (and
+    ``None`` is, whenever its cost passes the bound), since costs never
+    depend on occupancy, so blocking components only removes paths and
+    cannot change a first-popped predecessor on it;
+  - *sealed endpoint*: when every neighbour of the destination but
+    the source is full, or every neighbour of the source is, the
+    search can never enter the destination or never leave the source,
+    and the answer is ``None``;
 - movement emission (split / shuttle / junction entry and exit / merge,
   with in-trap swaps to reach a chain end) under happens-before
   tracking per ion and per hardware component;
@@ -132,6 +143,15 @@ class RoutingStrategy:
         self._build_tables()
         # src -> uncongested travel cost to every component, by id.
         self._static_dist_cache: dict[int, list[float]] = {}
+        # src -> each component's predecessor in the search's own tree
+        # on the empty device, by id (-1: src, or unreachable).
+        self._static_prev: dict[int, list[int]] = {}
+        # (src, dst) -> that tree's path after src and its search cost.
+        self._static_route: dict[
+            tuple[int, int], tuple[tuple[int, ...] | None, float]
+        ] = {}
+        # (src, dst) -> ``_find_path``'s detour bound.
+        self._detour_bound: dict[tuple[int, int], float] = {}
 
         self.ops: list[QccdOp] = []
         self._last_ion: dict[int, int] = {}
@@ -226,13 +246,17 @@ class RoutingStrategy:
     ) -> int:
         last_ion = self._last_ion
         comp_history = self._comp_history
+        windows = self._window
+        op_id = len(self.ops)
         deps = [last_ion[ion] for ion in ions if ion in last_ion]
+        # An op's components are distinct, so appending the op to one
+        # history cannot move another's dependency.
         for comp in components:
             history = comp_history[comp]
-            window = self._window[comp]
+            window = windows[comp]
             if len(history) >= window:
                 deps.append(history[-window])
-        op_id = len(self.ops)
+            history.append(op_id)
         self.ops.append(
             QccdOp(
                 op_id,
@@ -247,8 +271,6 @@ class RoutingStrategy:
         )
         for ion in ions:
             last_ion[ion] = op_id
-        for comp in components:
-            comp_history[comp].append(op_id)
         return op_id
 
     # ------------------------------------------------------------------
@@ -488,7 +510,10 @@ class RoutingStrategy:
         """
         if src == dst:
             return None
-        bound = self.DETOUR_TOLERANCE * self._static_distance(src, dst) + 1e-9
+        bound = self._detour_bound.get((src, dst))
+        if bound is None:
+            bound = self.DETOUR_TOLERANCE * self._static_distance(src, dst) + 1e-9
+            self._detour_bound[src, dst] = bound
         path = self._dijkstra(src, alloc, dst=dst, bound=bound)
         if path is None or self._path_cost(path) > bound:
             return None
@@ -567,6 +592,22 @@ class RoutingStrategy:
           least as large; once a popped cost ``d`` has
           ``d + step[dst] > bound``, every path still to come breaks the
           cap, and the answer is ``None``.
+
+        Most ``dst`` queries then need no search (see
+        :meth:`_static_path`):
+
+        - the path ``P`` this search takes on the empty device costs the
+          least of any path, so when its cost exceeds ``bound`` the
+          answer is ``None``; when every component of ``P`` after
+          ``src`` is admissible, the answer is ``P``: step costs are
+          positive and never depend on occupancy, so blocking
+          components only removes paths, every node of ``P`` keeps its
+          cost, and nodes still pop in ``(cost, node)`` order, so each
+          node of ``P`` is still first relaxed from its predecessor on
+          ``P``;
+        - when no neighbour of ``dst`` other than ``src`` is admissible,
+          or no neighbour of ``src`` is, the search can never enter
+          ``dst`` or never leave ``src``, and the answer is ``None``.
         """
         neighbors = self._neighbors
         capacity = self._capacity
@@ -579,6 +620,24 @@ class RoutingStrategy:
         elif dst == src or not is_trap[dst] or alloc[dst] >= capacity[dst]:
             return None
         else:
+            hops, cost = self._static_path(src, dst)
+            if hops is None or cost > bound:
+                return None
+            for node in hops:
+                if alloc[node] >= capacity[node]:
+                    break
+            else:
+                return [src, *hops]
+            for node in neighbors[src]:
+                if alloc[node] < capacity[node]:
+                    break
+            else:
+                return None
+            for node in neighbors[dst]:
+                if node == src or alloc[node] < capacity[node]:
+                    break
+            else:
+                return None
             dst_step = step[dst]
         dist = [_INF] * len(step)
         prev: dict[int, int] = {}
@@ -608,6 +667,57 @@ class RoutingStrategy:
                         return _trace(prev, src, dst)
                     heappush(heap, (nd, nxt))
         return None
+
+    def _static_path(
+        self, src: int, dst: int
+    ) -> tuple[tuple[int, ...] | None, float]:
+        """The path :meth:`_dijkstra` takes from ``src`` to ``dst`` on the
+        empty device, without ``src``, and its search cost (cached).
+
+        On a source's first call, its whole search tree is grown once
+        with the search's own step costs, neighbour order, heap key and
+        strict ``<``, with every component admissible; only the
+        predecessors are kept.  The cost sums the same steps in the
+        same order as the search, so it is the same float.  An
+        unreachable ``dst`` has path ``None``.
+        """
+        route = self._static_route.get((src, dst))
+        if route is not None:
+            return route
+        prev = self._static_prev.get(src)
+        if prev is None:
+            neighbors = self._neighbors
+            step = self._step
+            dist = [_INF] * len(step)
+            prev = [-1] * len(step)
+            dist[src] = self.times.split
+            heap = [(self.times.split, src)]
+            while heap:
+                d, node = heapq.heappop(heap)
+                if d > dist[node]:
+                    continue
+                for nxt in neighbors[node]:
+                    nd = d + step[nxt]
+                    if nd < dist[nxt]:
+                        dist[nxt] = nd
+                        prev[nxt] = node
+                        heapq.heappush(heap, (nd, nxt))
+            self._static_prev[src] = prev
+        if prev[dst] < 0:
+            route = (None, _INF)
+        else:
+            hops = [dst]
+            node = prev[dst]
+            while node != src:
+                hops.append(node)
+                node = prev[node]
+            hops.reverse()
+            cost = self.times.split
+            for node in hops:
+                cost += self._step[node]
+            route = (tuple(hops), cost)
+        self._static_route[src, dst] = route
+        return route
 
     # ------------------------------------------------------------------
     # Movement emission

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from code_helpers import interaction_graph
 from repro.codes import (
     RepetitionCode,
     RotatedSurfaceCode,
@@ -173,14 +174,14 @@ class TestLayerSchedule:
 class TestInteractionGraph:
     def test_nodes_and_edges(self):
         code = RotatedSurfaceCode(3)
-        graph = code.interaction_graph()
+        graph = interaction_graph(code)
         assert {q for edge in graph for q in edge} == set(range(code.num_qubits))
         expected_edges = sum(c.weight for c in code.checks)
         assert len(graph) == expected_edges
 
     def test_early_layers_weigh_more(self):
         code = RotatedSurfaceCode(3)
-        graph = code.interaction_graph()
+        graph = interaction_graph(code)
         check = next(c for c in code.checks if c.weight == 4)
         first = check.data_by_layer[0]
         last = check.data_by_layer[-1]

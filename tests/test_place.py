@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from code_helpers import interaction_graph
 from repro.codes import RepetitionCode, RotatedSurfaceCode, UnrotatedSurfaceCode
 from repro.core import build_device_for, layout_positions, partition_qubits, place
 
@@ -71,7 +72,7 @@ class TestPartition:
         for i, cluster in enumerate(clusters):
             for q in cluster:
                 cluster_of[q] = i
-        graph = code.interaction_graph()
+        graph = interaction_graph(code)
         internal = sum(1 for u, v in graph if cluster_of[u] == cluster_of[v])
         assert internal / len(graph) > 0.4
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from code_helpers import param_id
 from repro.arch import DEFAULT_TIMES
 from repro.codes import RepetitionCode, RotatedSurfaceCode, UnrotatedSurfaceCode
 from repro.codes.base import Role
@@ -81,15 +82,13 @@ CONFIGS = [
 
 
 class TestConstraintCompliance:
-    @pytest.mark.parametrize(
-        "code,cap,topo", CONFIGS, ids=lambda v: str(v)
-    )
+    @pytest.mark.parametrize("code,cap,topo", CONFIGS, ids=param_id)
     def test_replay_respects_all_hardware_constraints(self, code, cap, topo):
         """Sequential replay: capacities, exclusivity, co-location."""
         ops, placement, _ = _route(code, cap, topo, rounds=2)
         _replay_occupancy(ops, placement)
 
-    @pytest.mark.parametrize("code,cap,topo", CONFIGS, ids=lambda v: str(v))
+    @pytest.mark.parametrize("code,cap,topo", CONFIGS, ids=param_id)
     def test_all_gates_sequenced_exactly_once(self, code, cap, topo):
         rounds = 2
         gates = build_gate_dag(code, rounds)
@@ -98,7 +97,7 @@ class TestConstraintCompliance:
         sequenced = [op.gate_id for op in ops if op.gate_id is not None]
         assert sorted(sequenced) == [g.id for g in gates]
 
-    @pytest.mark.parametrize("code,cap,topo", CONFIGS[:6], ids=lambda v: str(v))
+    @pytest.mark.parametrize("code,cap,topo", CONFIGS[:6], ids=param_id)
     def test_final_state_restores_fill_invariant(self, code, cap, topo):
         ops, placement, router = _route(code, cap, topo)
         _replay_occupancy(ops, placement)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from code_helpers import param_id
 from repro.codes import RepetitionCode, RotatedSurfaceCode, UnrotatedSurfaceCode
 from repro.core import compile_memory_experiment, fold_probability, program_to_circuit
 from repro.noise import NoiseParameters
@@ -29,7 +30,7 @@ def _export(code, cap, topo, rounds=2, basis="Z", noise=NOISE):
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("code,cap,topo", CONFIGS, ids=lambda v: str(v))
+    @pytest.mark.parametrize("code,cap,topo", CONFIGS, ids=param_id)
     def test_noiseless_determinism(self, code, cap, topo):
         """The gold test: compiled circuits measure what they claim."""
         _, export = _export(code, cap, topo)

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from code_helpers import param_id
 from repro.arch import DEFAULT_TIMES
 from repro.codes import (
     RepetitionCode,
@@ -188,13 +189,6 @@ INVARIANT_CONFIGS = [
 ALL_STRATEGIES = ["greedy", "layered"]
 
 
-def _config_id(value):
-    if isinstance(value, (RepetitionCode, RotatedSurfaceCode,
-                          UnrotatedSurfaceCode)):
-        return f"{value.name}-d{value.distance}"
-    return str(value)
-
-
 def _compile_with(code, cap, topo, router, rounds=2):
     cfg = CompilerConfig(
         code=code, trap_capacity=cap, topology=topo, rounds=rounds,
@@ -221,7 +215,7 @@ def _assert_program_invariants(program, placement, gates):
 
 
 @pytest.mark.parametrize("router", ALL_STRATEGIES)
-@pytest.mark.parametrize("code,cap,topo", INVARIANT_CONFIGS, ids=_config_id)
+@pytest.mark.parametrize("code,cap,topo", INVARIANT_CONFIGS, ids=param_id)
 def test_all_strategies_satisfy_shared_invariants(code, cap, topo, router):
     program, placement = _compile_with(code, cap, topo, router)
     gates = build_gate_dag(code, 2)
