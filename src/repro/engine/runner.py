@@ -213,16 +213,10 @@ def compile_design_point(
     job: SweepJob,
     noise: NoiseParameters,
     need_circuit: bool,
-    wiring_method=None,
 ) -> JobArtifacts:
     """Run one design point through compile -> schedule -> resources,
-    optionally exporting the noisy stabilizer circuit for sampling.
-
-    ``wiring_method`` overrides the lookup of ``job.wiring`` by name —
-    the hook the toolflow uses to evaluate custom wiring schemes.
-    """
-    if wiring_method is None:
-        wiring_method = wiring_by_name(job.wiring)
+    optionally exporting the noisy stabilizer circuit for sampling."""
+    wiring_method = wiring_by_name(job.wiring)
     code = make_code(job.code, job.distance)
     config = CompilerConfig(
         code=code,
@@ -728,6 +722,10 @@ def sample_circuit(
     job, so results are deterministic for a given ``seed`` and a fixed
     plan's failure count is identical on every backend (pass a
     :class:`MultiprocessBackend` to fan the shards out over workers).
+    Shard streams follow the circuit's text, not a job key: its callers
+    are the ad-hoc estimators (``estimate_logical_error_rate``, behind
+    ``scan_threshold``, and ``estimate_until_failures``); a design
+    point runs as a sweep job instead.
     """
     if shots < 1:
         raise ValueError("shots must be positive")

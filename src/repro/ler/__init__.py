@@ -3,7 +3,6 @@
 from .estimator import (
     LerResult,
     estimate_logical_error_rate,
-    estimate_sweep,
     estimate_until_failures,
 )
 from .projection import LerProjection, fit_projection
@@ -12,7 +11,6 @@ from .threshold import ThresholdScan, scan_threshold
 __all__ = [
     "LerResult",
     "estimate_logical_error_rate",
-    "estimate_sweep",
     "estimate_until_failures",
     "LerProjection",
     "fit_projection",

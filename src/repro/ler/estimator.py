@@ -1,12 +1,12 @@
 """Monte-Carlo logical error rate estimation (Sec. 6.4).
 
 Pipeline: noisy circuit -> detector error model -> sample -> dedupe ->
-decode -> failure rate.  Every estimator here runs the engine's one
-sampling path (:func:`repro.engine.sample_circuit` for a single
-circuit, :func:`repro.engine.run_sweep` for a grid).  Reports both
-per-shot and per-round logical error rates; the per-round figure (what
-the paper plots) treats the shot as ``rounds`` independent
-opportunities to fail:
+decode -> failure rate.  The estimators here sample one ad-hoc circuit
+through :func:`repro.engine.sample_circuit`; design points run as
+engine sweeps (:func:`repro.engine.run_sweep`).  Reports both per-shot
+and per-round logical error rates; the per-round figure (what the
+paper plots) treats the shot as ``rounds`` independent opportunities
+to fail:
 ``p_round = 1 - (1 - p_shot)^(1/rounds)``.
 """
 
@@ -134,22 +134,3 @@ def estimate_until_failures(
         backend=backend,
     )
     return LerResult(shots=shots, failures=failures, rounds=rounds)
-
-
-def estimate_sweep(spec, **runner_options):
-    """Engine-backed LER estimation over a whole design-space grid.
-
-    ``spec`` is a :class:`repro.engine.SweepSpec`; ``runner_options``
-    are forwarded to :class:`repro.engine.Runner` (``workers``,
-    ``cache`` / ``cache_dir``, ``store`` / ``results_path``,
-    ``shard_shots``, ``progress``, ...).  Returns the engine's
-    :class:`repro.engine.JobResult` list, whose ``ler`` property yields
-    a :class:`LerResult` per sampled job.  The single-circuit
-    estimators above run the same shard plan over one ad-hoc circuit;
-    a sweep adds the design-point grid (compile, noise model), the
-    result store and resume, and compiles circuits shared between jobs
-    once.
-    """
-    from ..engine.runner import run_sweep  # deferred: engine builds on this module
-
-    return run_sweep(spec, **runner_options)

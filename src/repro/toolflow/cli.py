@@ -18,12 +18,14 @@ Usage examples::
     python -m repro.toolflow.cli project --distances 3 5 \\
         --improvement 5 --shots 8000 --target 1e-9
 
-``evaluate`` runs one design point (optionally with a Monte-Carlo LER
-estimate), ``sweep`` runs a grid of design points through the
-execution engine (``repro.engine``) — with optional multiprocessing
-shot sharding, an on-disk compilation cache, and JSONL resume —
-``project`` fits the suppression model and reports the code distance
-needed for a target logical error rate.
+All three commands run their design points through the execution
+engine (``repro.engine``), so a point's row is the same from each of
+them for the same flags.  ``evaluate`` runs one design point
+(optionally with a Monte-Carlo LER estimate); ``sweep`` runs a grid of
+design points, with optional multiprocessing shot sharding, an on-disk
+compilation cache, and JSONL resume; ``project`` fits the suppression
+model and reports the code distance needed for a target logical error
+rate.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import sys
 
 from ..core import available_routers
 from ..engine.runner import DEFAULT_SHARD_SHOTS
-from ..ler.projection import fit_projection
 from .explorer import DesignSpaceExplorer
 from .report import format_table
 
@@ -63,25 +64,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=2026)
 
 
-def _evaluate_records(args, distances, capacities):
-    explorer = DesignSpaceExplorer(code_name=args.code, seed=args.seed)
-    records = []
-    for d in distances:
-        for cap in capacities:
-            records.append(
-                explorer.evaluate(
-                    d,
-                    capacity=cap,
-                    topology=args.topology,
-                    wiring=args.wiring,
-                    gate_improvement=args.improvement,
-                    rounds=args.rounds,
-                    shots=args.shots,
-                    decoder=args.decoder,
-                    router=args.router,
-                )
-            )
-    return records
+def _point(args) -> dict:
+    """``DesignSpaceExplorer.evaluate``'s design-point keywords, from
+    the ``evaluate`` / ``project`` flags."""
+    return dict(
+        capacity=args.capacity,
+        topology=args.topology,
+        wiring=args.wiring,
+        gate_improvement=args.improvement,
+        rounds=args.rounds,
+        decoder=args.decoder,
+        router=args.router,
+    )
 
 
 def _print_records(records, csv_path=None, out=None):
@@ -97,17 +91,19 @@ def _print_records(records, csv_path=None, out=None):
 
 
 def cmd_evaluate(args) -> int:
-    records = _evaluate_records(args, [args.distance], [args.capacity])
-    _print_records(records, args.csv)
+    explorer = DesignSpaceExplorer(code_name=args.code, seed=args.seed)
+    record = explorer.evaluate(args.distance, shots=args.shots, **_point(args))
+    _print_records([record], args.csv)
     return 0
 
 
 def cmd_sweep(args) -> int:
     """Grid sweep driven by the execution engine (repro.engine).
 
-    Unlike ``evaluate``, this compiles each unique circuit once, can
-    shard Monte-Carlo shots over worker processes, and can resume an
-    interrupted sweep from a JSON-lines result store.  Every grid axis
+    ``evaluate`` and ``project`` run the same engine path with its
+    defaults; this command adds the grid axes, shards Monte-Carlo
+    shots over worker processes, and can resume an interrupted sweep
+    from a JSON-lines result store.  Every grid axis
     accepts multiple values: the plural flags (``--topologies``,
     ``--wirings``, ``--improvements``, ``--decoders``) default to their
     singular counterparts, and the sweep expands the full
@@ -211,9 +207,10 @@ def cmd_project(args) -> int:
     if args.shots <= 0:
         print("project requires --shots > 0", file=sys.stderr)
         return 2
-    records = _evaluate_records(args, args.distances, [args.capacity])
-    points = [(r.distance, r.ler_per_round) for r in records]
-    projection = fit_projection(points)
+    explorer = DesignSpaceExplorer(code_name=args.code, seed=args.seed)
+    records, projection = explorer.ler_projection(
+        args.distances, args.shots, **_point(args)
+    )
     _print_records(records, args.csv)
     print(f"Lambda = {projection.lam:.3f} "
           f"({'below' if projection.below_threshold else 'above'} threshold)")

@@ -2,24 +2,33 @@
 
 ``DesignSpaceExplorer.evaluate`` runs one design point through the
 whole stack: compile -> schedule -> resource model -> (optionally)
-noisy-circuit export, DEM extraction, decoding, LER estimate.  The
-sweep helpers drive the figure-level experiments.
+noisy-circuit export, DEM extraction, decoding, LER estimate.  Every
+estimate, single point or figure-level grid, is an engine sweep
+(:class:`repro.engine.Runner`), so a design point's failure count
+depends only on its job key and the explorer's seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from ..arch.wiring import WiringMethod, wiring_by_name
-from ..engine.runner import Runner, compile_design_point
-from ..engine.sweep import SweepJob
-from ..ler.estimator import estimate_logical_error_rate
+from ..engine.runner import Runner
+from ..engine.sweep import SweepSpec
 from ..ler.projection import LerProjection, fit_projection
 from ..noise.parameters import DEFAULT_NOISE, NoiseParameters
 from .records import EvaluationRecord
 
 
 _RECORD_FIELDS = frozenset(f.name for f in fields(EvaluationRecord))
+# evaluate()'s one-value keywords -> the SweepSpec axes they fill.
+_AXES = {
+    "capacity": "capacities",
+    "topology": "topologies",
+    "wiring": "wirings",
+    "gate_improvement": "gate_improvements",
+    "decoder": "decoders",
+    "router": "routers",
+}
 
 
 def record_from_job_result(result) -> EvaluationRecord:
@@ -57,7 +66,7 @@ class DesignSpaceExplorer:
         distance: int,
         capacity: int = 2,
         topology: str = "grid",
-        wiring: str | WiringMethod = "standard",
+        wiring: str = "standard",
         gate_improvement: float = 1.0,
         rounds: int | None = None,
         shots: int = 0,
@@ -65,43 +74,27 @@ class DesignSpaceExplorer:
         basis: str = "Z",
         router: str = "greedy",
     ) -> EvaluationRecord:
-        """Run one design point through the Figure-2 pipeline."""
-        wiring_method = (
-            wiring if isinstance(wiring, WiringMethod) else wiring_by_name(wiring)
-        )
-        rounds = rounds if rounds is not None else distance
-        job = SweepJob(
-            code=self.code_name,
-            distance=distance,
-            capacity=capacity,
-            topology=topology,
-            wiring=wiring_method.name,
-            gate_improvement=gate_improvement,
-            decoder=decoder,
-            rounds=rounds,
-            shots=shots,
-            basis=basis,
-            router=router,
-        )
-        artifacts = compile_design_point(
-            job, self.noise, need_circuit=shots > 0, wiring_method=wiring_method
-        )
-        record = EvaluationRecord(**artifacts.metrics)
+        """Run one design point through the Figure-2 pipeline.
 
-        if shots > 0:
-            result = estimate_logical_error_rate(
-                artifacts.circuit,
-                rounds=rounds,
-                shots=shots,
-                decoder=decoder,
-                seed=self.seed,
-            )
-            record.shots = result.shots
-            record.failures = result.failures
-            record.ler_per_shot = result.per_shot
-            record.ler_per_round = result.per_round
-            record.extras.update(artifacts.extras)
+        A one-job :meth:`sweep` seeded by the explorer's ``seed``: the
+        record, failure count included, is the one a sweep over the
+        same point returns.  ``shots=0`` compiles only.
+        """
+        [record] = self.sweep(self._spec(
+            (distance,), shots, capacity=capacity, topology=topology,
+            wiring=wiring, gate_improvement=gate_improvement,
+            rounds=rounds, decoder=decoder, basis=basis, router=router,
+        ))
         return record
+
+    def _spec(self, distances, shots: int, **point) -> SweepSpec:
+        """The sweep over ``distances`` of the one design point that
+        ``point`` (:meth:`evaluate`'s keywords) names, seeded by the
+        explorer's ``seed``."""
+        axes = {_AXES.get(k, k): (v,) if k in _AXES else v
+                for k, v in point.items()}
+        return SweepSpec(code=self.code_name, distances=tuple(distances),
+                         shots=shots, master_seed=self.seed, **axes)
 
     # ------------------------------------------------------------------
     # Figure-level sweeps
@@ -109,11 +102,10 @@ class DesignSpaceExplorer:
     def sweep(self, spec, **runner_options) -> list[EvaluationRecord]:
         """Run a :class:`repro.engine.SweepSpec` grid through the engine.
 
-        Unlike :meth:`evaluate` in a loop, the engine compiles each
-        unique circuit's DEM / detector graph once, can shard shots
-        over worker processes (``workers=N``), and can resume from a
-        JSON-lines store (``results_path=...``) — see
-        :class:`repro.engine.Runner` for the options.  The explorer's
+        The engine compiles each unique circuit's DEM / detector graph
+        once, can shard shots over worker processes (``workers=N``),
+        and can resume from a JSON-lines store (``results_path=...``)
+        — see :class:`repro.engine.Runner` for the options.  The explorer's
         noise model is applied; the sweep's ``master_seed`` governs
         sampling.
         """
@@ -127,22 +119,18 @@ class DesignSpaceExplorer:
         results = Runner(spec, **runner_options).run()
         return [record_from_job_result(r) for r in results]
 
-    def sweep_distances(
-        self,
-        distances: list[int],
-        shots: int = 0,
-        **kwargs,
-    ) -> list[EvaluationRecord]:
-        return [self.evaluate(d, shots=shots, **kwargs) for d in distances]
-
     def ler_projection(
         self,
         distances: list[int],
         shots: int = 2000,
         **kwargs,
     ) -> tuple[list[EvaluationRecord], LerProjection]:
-        """Measure small distances, fit the suppression model (Fig 10)."""
-        records = self.sweep_distances(distances, shots=shots, **kwargs)
+        """Measure small distances, fit the suppression model (Fig 10).
+
+        ``kwargs`` are :meth:`evaluate`'s design-point keywords; the
+        distances run as one sweep, so each circuit compiles once.
+        """
+        records = self.sweep(self._spec(distances, shots, **kwargs))
         points = [
             (r.distance, r.ler_per_round)
             for r in records

@@ -58,7 +58,8 @@ def sensitivity_analysis(
 
     Returns entries sorted by decreasing swing (the most influential
     parameter first).  Note T2 works inversely: halving it *increases*
-    dephasing.
+    dephasing.  Every noise level runs the design point as the same
+    sweep job under ``seed``, so the levels share shard streams.
     """
     parameters = parameters if parameters is not None else SWEEPABLE
 

@@ -26,7 +26,6 @@ from repro.engine import (
     plan_shards,
     run_sweep,
 )
-from repro.ler import estimate_sweep
 from repro.sim import FrameSimulator
 
 SHOTS = 600
@@ -302,7 +301,7 @@ class TestResultStoreResume:
 class TestEstimateSweep:
     def test_engine_backed_ler_api(self):
         spec = small_spec(distances=(2,))
-        [result] = estimate_sweep(spec, shard_shots=SHARD)
+        [result] = run_sweep(spec, shard_shots=SHARD)
         ler = result.ler
         assert ler.shots == SHOTS
         assert ler.rounds == 2

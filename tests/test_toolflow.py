@@ -1,8 +1,13 @@
 """Toolflow tests: the Figure-2 evaluation pipeline end to end."""
 
+import contextlib
+import io
+
 import pytest
 
+from repro.engine import SweepSpec
 from repro.toolflow import DesignSpaceExplorer, EvaluationRecord, format_table, ratio
+from repro.toolflow.cli import main
 
 
 class TestEvaluate:
@@ -49,10 +54,6 @@ class TestEvaluate:
         record = ex.evaluate(3, capacity=2, topology="linear", rounds=2)
         assert record.code == "repetition"
 
-    def test_sweep_distances(self, explorer):
-        records = explorer.sweep_distances([2, 3], capacity=2, rounds=2)
-        assert [r.distance for r in records] == [2, 3]
-
     def test_ler_projection_pipeline(self):
         ex = DesignSpaceExplorer(code_name="rotated_surface")
         records, proj = ex.ler_projection(
@@ -61,6 +62,45 @@ class TestEvaluate:
         )
         assert len(records) == 2
         assert proj.ler_at(5) > 0
+
+    def test_wiring_method_object_rejected(self, explorer):
+        from repro.arch.wiring import WISE_WIRING
+
+        with pytest.raises(ValueError, match="unknown wiring"):
+            explorer.evaluate(3, capacity=2, wiring=WISE_WIRING, rounds=2)
+
+
+class TestOneNumberPerDesignPoint:
+    """evaluate, sweep and the CLI commands give a design point one
+    failure count: the engine's, keyed by job key and master seed."""
+
+    def test_evaluate_is_the_sweep_record(self):
+        explorer = DesignSpaceExplorer()
+        record = explorer.evaluate(3, gate_improvement=5.0, shots=4000)
+        [swept] = explorer.sweep(SweepSpec(
+            distances=(3,), gate_improvements=(5.0,), shots=4000,
+            master_seed=explorer.seed,
+        ))
+        assert record.failures > 0
+        assert (record.shots, record.failures) == (swept.shots, swept.failures)
+        assert record.extras["job_key"] == swept.extras["job_key"]
+
+    def test_cli_evaluate_and_project_rows_are_the_sweep_rows(self):
+        flags = ["--rounds", "2", "--shots", "600", "--improvement", "2"]
+
+        def rows(argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv + flags) == 0
+            return out.getvalue().splitlines()
+
+        evaluated = rows(["evaluate", "--distance", "3"])
+        swept = rows(["sweep", "--distances", "3"])
+        assert len(evaluated) == 3  # header, rule, one row
+        assert evaluated == swept
+        projected = rows(["project", "--distances", "2", "3"])
+        assert projected[:4] == rows(["sweep", "--distances", "2", "3"])
+        assert projected[4].startswith("Lambda = ")
 
 
 class TestRecord:
